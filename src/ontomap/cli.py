@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +22,9 @@ from .model import (
     ModelFormatError,
     ModelValidationError,
     read_model,
-    validate_model,
     write_model,
 )
-from .objective import OntologyMap, evaluate, read_map, write_map
+from .objective import evaluate, read_map, write_map
 from .optimizer import OptimizerConfig, optimize
 from .utility import read_utility, translate, write_utility
 
@@ -49,10 +47,10 @@ def _load(path: str, reader):
         raise CliError(f"cannot read {path}: {e}", EXIT_IO)
     try:
         return reader(data)
-    except ModelValidationError as e:
-        raise CliError(str(e), EXIT_DOMAIN)
     except ModelFormatError as e:
         raise CliError(str(e), EXIT_IO)
+    except ValueError as e:
+        raise CliError(str(e), EXIT_DOMAIN)
 
 
 def _load_model(path: str) -> FiniteStateModel:
@@ -80,11 +78,7 @@ def _write_outputs(out_dir: str, manifest: dict, files: dict[str, bytes]) -> Non
 
 
 def _manifest(args: argparse.Namespace, command: str, **inputs) -> dict:
-    doc = {
-        "command": command,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        **inputs,
-    }
+    doc = {"command": command, **inputs}
     for key in ("seed", "restarts", "max_iters", "epsilon"):
         if hasattr(args, key):
             doc[key] = getattr(args, key)
@@ -111,20 +105,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        seed=args.seed,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        policy=SmoothingPolicy(epsilon=args.epsilon),
-    )
-
-
 def cmd_map(args) -> int:
     o0 = _load_model(args.o0)
     o1 = _load_model(args.o1)
-    config = _optimizer_config(args)
     try:
+        config = OptimizerConfig(
+            seed=args.seed,
+            restarts=args.restarts,
+            max_iters=args.max_iters,
+            policy=SmoothingPolicy(epsilon=args.epsilon),
+        )
         result = optimize(o0, o1, config)
     except ValueError as e:
         raise CliError(str(e), EXIT_DOMAIN)

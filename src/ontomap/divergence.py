@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import STOCHASTIC_TOL
+from .model import ModelValidationError, column_violations
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ def _kl_columns_raw(p: np.ndarray, q: np.ndarray, epsilon: float) -> float:
 def kl_columns(p, q, policy: SmoothingPolicy = DEFAULT_POLICY) -> float:
     """Sum over columns of KL(p_col || q_col), in nats.
 
-    p columns must be probability distributions; q need only be nonnegative
-    (its columns are floored at policy.epsilon and renormalized). Always
+    p columns must be probability distributions; q need only be finite and
+    nonnegative (its columns are floored at policy.epsilon and renormalized). Always
     finite; nonnegative up to O(epsilon * ln epsilon) smoothing slack.
     """
     p = np.asarray(p, dtype=float)
@@ -58,12 +58,9 @@ def kl_columns(p, q, policy: SmoothingPolicy = DEFAULT_POLICY) -> float:
         q = q[:, None]
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if np.any(p < 0):
-        raise ValueError("true-side matrix has negative entries")
-    sums = p.sum(axis=0)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > STOCHASTIC_TOL)
-    if bad.size:
-        raise ValueError(f"true-side column {bad[0] + 1} sums to {sums[bad[0]]!r}, expected 1")
-    if np.any(q < 0):
-        raise ValueError("approximation matrix has negative entries")
+    violations = column_violations("true side", p)
+    if violations:
+        raise ModelValidationError(violations)
+    if not np.all(np.isfinite(q)) or np.any(q < 0):
+        raise ValueError("approximation matrix has non-finite or negative entries")
     return _kl_columns_raw(p, q, policy.epsilon)

@@ -21,11 +21,11 @@ class ModelFormatError(ValueError):
 
 
 class ModelValidationError(ValueError):
-    """Raised when a parsed model violates stochasticity invariants."""
+    """Raised when a model, map or distribution violates stochasticity invariants."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
-        super().__init__("model validation failed:\n" + "\n".join(self.violations))
+        super().__init__("not column-stochastic:\n" + "\n".join(self.violations))
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,9 @@ class StateDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float).reshape(-1)
-        if np.any(p < -STOCHASTIC_TOL):
-            raise ValueError("distribution has negative entries")
-        if abs(p.sum() - 1.0) > STOCHASTIC_TOL:
-            raise ValueError(f"distribution sums to {p.sum()!r}, expected 1")
+        violations = column_violations("distribution", p[:, None])
+        if violations:
+            raise ModelValidationError(violations)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -122,15 +121,30 @@ class FiniteStateModel:
             raise KeyError(f"unknown motor symbol {x!r}; alphabet is {list(self.motor)}") from None
 
 
-def _check_columns(name: str, mat: np.ndarray, violations: list[str]) -> None:
-    for j in range(mat.shape[1]):
-        col = mat[:, j]
-        if np.any(col < -STOCHASTIC_TOL) or np.any(col > 1 + STOCHASTIC_TOL):
-            bad = col[(col < -STOCHASTIC_TOL) | (col > 1 + STOCHASTIC_TOL)][0]
-            violations.append(f"{name} column {j + 1}: entry {bad!r} outside [0, 1]")
-        total = float(col.sum())
-        if abs(total - 1.0) > STOCHASTIC_TOL:
-            violations.append(f"{name} column {j + 1}: sum {total!r}, expected 1")
+def column_violations(name: str, mat) -> list[str]:
+    """Return the ways the columns of ``mat`` fail to be distributions.
+
+    Per 1-based column, in column order: an entry outside [0, 1], then a
+    sum off 1, each beyond STOCHASTIC_TOL. NaN and infinite entries fail
+    both tests. Empty iff every column is on the simplex.
+    """
+    mat = np.asarray(mat, dtype=float)
+    # Written as negated "inside" tests so that NaN, which fails every
+    # comparison, lands outside.
+    outside = ~((mat >= -STOCHASTIC_TOL) & (mat <= 1 + STOCHASTIC_TOL))
+    # Rows of a contiguous transpose are summed pairwise, exactly as a lone
+    # column is; mat.sum(axis=0) adds rows in sequence and can differ in the
+    # last bit.
+    sums = np.ascontiguousarray(mat.T).sum(axis=1)
+    off = ~(np.abs(sums - 1.0) <= STOCHASTIC_TOL)
+    violations: list[str] = []
+    for j in np.flatnonzero(outside.any(axis=0) | off):
+        if outside[:, j].any():
+            bad = mat[outside[:, j], j][0]
+            violations.append(f"{name} column {j + 1}: entry {float(bad)!r} outside [0, 1]")
+        if off[j]:
+            violations.append(f"{name} column {j + 1}: sum {float(sums[j])!r}, expected 1")
+    return violations
 
 
 def validate_model(model: FiniteStateModel) -> list[str]:
@@ -141,9 +155,8 @@ def validate_model(model: FiniteStateModel) -> list[str]:
     """
     violations: list[str] = []
     for x in model.motor:
-        _check_columns(f"T^{x}", model.transitions[x], violations)
-    _check_columns("A", model.output, violations)
-    return violations
+        violations += column_violations(f"T^{x}", model.transitions[x])
+    return violations + column_violations("A", model.output)
 
 
 def step(model: FiniteStateModel, d: StateDistribution, x: str) -> StateDistribution:
@@ -197,7 +210,7 @@ def read_model(source) -> FiniteStateModel:
         sensor = Alphabet(tuple(doc["sensor"]))
         raw_trans = doc["transitions"]
         raw_out = doc["output"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"missing or malformed field: {e}") from None
     if set(raw_trans) != set(motor.symbols):
         raise ModelFormatError(

@@ -15,12 +15,14 @@ side only: A0 @ phi against A1, and A1 @ phi_inv against A0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DEFAULT_POLICY, SmoothingPolicy, _kl_columns_raw, kl_columns
-from .model import STOCHASTIC_TOL, FiniteStateModel, validate_model
+from .divergence import DEFAULT_POLICY, SmoothingPolicy, _kl_columns_raw
+from .divergence import kl_columns  # noqa: F401  (perfbench/spans.py wraps it here)
+from .model import FiniteStateModel, ModelFormatError, ModelValidationError
+from .model import column_violations, validate_model
 
 
 @dataclass(frozen=True)
@@ -40,12 +42,9 @@ class OntologyMap:
         for name, m in (("phi", phi), ("phi_inv", phi_inv)):
             if m.ndim != 2:
                 raise ValueError(f"{name} must be a matrix")
-            if np.any(m < -STOCHASTIC_TOL) or np.any(m > 1 + STOCHASTIC_TOL):
-                raise ValueError(f"{name} has entries outside [0, 1]")
-            sums = m.sum(axis=0)
-            if np.any(np.abs(sums - 1.0) > STOCHASTIC_TOL):
-                j = int(np.argmax(np.abs(sums - 1.0)))
-                raise ValueError(f"{name} column {j + 1} sums to {sums[j]!r}, expected 1")
+        violations = column_violations("phi", phi) + column_violations("phi_inv", phi_inv)
+        if violations:
+            raise ModelValidationError(violations)
         if phi.shape != phi_inv.shape[::-1]:
             raise ValueError(
                 f"phi is {phi.shape} but phi_inv is {phi_inv.shape}; expected transposed shapes"
@@ -101,8 +100,6 @@ class ObjectiveReport:
 
 def read_map(source) -> OntologyMap:
     """Parse a map file: JSON with row-major ``phi`` and ``phi_inv``."""
-    from .model import ModelFormatError
-
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -130,6 +127,29 @@ def _check_pair(o0: FiniteStateModel, o1: FiniteStateModel) -> None:
             raise ValueError(f"{name} is not a valid model: {violations[0]}")
 
 
+def _objective(
+    o0: FiniteStateModel,
+    o1: FiniteStateModel,
+    phi: np.ndarray,
+    phi_inv: np.ndarray,
+    epsilon: float,
+) -> tuple:
+    """The objective, unvalidated, as ObjectiveReport's fields in order:
+    total, forward transition terms, forward output term, backward
+    transition terms, backward output term."""
+    forward = {}
+    backward = {}
+    for x in o0.motor:
+        t0 = o0.transitions[x]
+        t1 = o1.transitions[x]
+        forward[x] = _kl_columns_raw(t1, phi_inv @ t0 @ phi, epsilon)
+        backward[x] = _kl_columns_raw(t0, phi @ t1 @ phi_inv, epsilon)
+    forward_out = _kl_columns_raw(o1.output, o0.output @ phi, epsilon)
+    backward_out = _kl_columns_raw(o0.output, o1.output @ phi_inv, epsilon)
+    total = sum(forward.values()) + forward_out + sum(backward.values()) + backward_out
+    return total, forward, forward_out, backward, backward_out
+
+
 def _total(
     o0: FiniteStateModel,
     o1: FiniteStateModel,
@@ -137,18 +157,8 @@ def _total(
     phi_inv: np.ndarray,
     epsilon: float,
 ) -> float:
-    """Fast objective total; skips validation. Summation order matches
-    evaluate() exactly so both paths give bit-identical totals."""
-    forward = []
-    backward = []
-    for x in o0.motor:
-        t0 = o0.transitions[x]
-        t1 = o1.transitions[x]
-        forward.append(_kl_columns_raw(t1, phi_inv @ t0 @ phi, epsilon))
-        backward.append(_kl_columns_raw(t0, phi @ t1 @ phi_inv, epsilon))
-    forward_out = _kl_columns_raw(o1.output, o0.output @ phi, epsilon)
-    backward_out = _kl_columns_raw(o0.output, o1.output @ phi_inv, epsilon)
-    return sum(forward) + forward_out + sum(backward) + backward_out
+    """Objective total without validation; bit-identical to evaluate()'s."""
+    return _objective(o0, o1, phi, phi_inv, epsilon)[0]
 
 
 def evaluate(
@@ -163,21 +173,4 @@ def evaluate(
         raise ValueError(
             f"map shape ({mapping.n0}, {mapping.n1}) does not match models ({o0.n}, {o1.n})"
         )
-    phi, phi_inv = mapping.phi, mapping.phi_inv
-    forward = {}
-    backward = {}
-    for x in o0.motor:
-        t0 = o0.transitions[x]
-        t1 = o1.transitions[x]
-        forward[x] = kl_columns(t1, phi_inv @ t0 @ phi, policy)
-        backward[x] = kl_columns(t0, phi @ t1 @ phi_inv, policy)
-    forward_out = kl_columns(o1.output, o0.output @ phi, policy)
-    backward_out = kl_columns(o0.output, o1.output @ phi_inv, policy)
-    total = sum(forward.values()) + forward_out + sum(backward.values()) + backward_out
-    return ObjectiveReport(
-        total=total,
-        forward_transition_terms=forward,
-        forward_output_term=forward_out,
-        backward_transition_terms=backward,
-        backward_output_term=backward_out,
-    )
+    return ObjectiveReport(*_objective(o0, o1, mapping.phi, mapping.phi_inv, policy.epsilon))

@@ -3,15 +3,15 @@
 Proposals perturb one column at a time in logit space (Gaussian noise of
 scale ``step`` on the log-entries, then softmax back to the simplex), which
 keeps every iterate strictly interior to the simplex. Only strictly
-improving moves are accepted; the step is halved after ``patience``
+improving moves are accepted; the step is halved after ``PATIENCE``
 consecutive rejections and the climb stops once it falls below
-``min_step``. Restarts draw from independent, seed-derived RNG streams, so
+``MIN_STEP``. Restarts draw from independent, seed-derived RNG streams, so
 results do not depend on execution order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,16 +19,17 @@ from .divergence import DEFAULT_POLICY, SmoothingPolicy
 from .model import FiniteStateModel
 from .objective import ObjectiveReport, OntologyMap, _check_pair, _total, evaluate
 
+INITIAL_STEP = 0.5
+STEP_DECAY = 0.5
+PATIENCE = 200
+MIN_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     seed: int = 0
     restarts: int = 10
     max_iters: int = 20000
-    initial_step: float = 0.5
-    step_decay: float = 0.5
-    patience: int = 200
-    min_step: float = 1e-6
     policy: SmoothingPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
@@ -36,14 +37,6 @@ class OptimizerConfig:
             raise ValueError("restarts must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
-        if not 0.0 < self.step_decay < 1.0:
-            raise ValueError("step_decay must be in (0, 1)")
-        if self.patience < 1:
-            raise ValueError("patience must be positive")
-        if self.min_step <= 0:
-            raise ValueError("min_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,11 +93,11 @@ def hill_climb(
     phi = np.array(start.phi)
     phi_inv = np.array(start.phi_inv)
     current = _total(o0, o1, phi, phi_inv, eps)
-    step = config.initial_step
+    step = INITIAL_STEP
     rejections = 0
     iters = 0
     n_cols = o1.n + o0.n  # phi has n1 columns, phi_inv has n0
-    while iters < config.max_iters and step >= config.min_step:
+    while iters < config.max_iters and step >= MIN_STEP:
         iters += 1
         k = int(rng.integers(n_cols))
         if k < o1.n:
@@ -120,8 +113,8 @@ def hill_climb(
         else:
             mat[:, j] = old_col
             rejections += 1
-            if rejections >= config.patience:
-                step *= config.step_decay
+            if rejections >= PATIENCE:
+                step *= STEP_DECAY
                 rejections = 0
     result = OntologyMap(phi=phi, phi_inv=phi_inv)
     return result, evaluate(o0, o1, result, config.policy), iters

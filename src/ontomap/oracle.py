@@ -22,6 +22,16 @@ def free_parameters(n0: int, n1: int) -> int:
     return n1 * (n0 - 1) + n0 * (n1 - 1)
 
 
+def _grid_steps(resolution: float) -> int:
+    """Grid steps per unit of mass; the resolution must divide 1."""
+    if not 0.0 < resolution <= 1.0:
+        raise ValueError(f"resolution must be in (0, 1], got {resolution!r}")
+    steps = round(1.0 / resolution)
+    if abs(1.0 / resolution - steps) > 1e-9:
+        raise ValueError(f"resolution must divide 1, got {resolution!r}")
+    return steps
+
+
 def _grid_columns(dim: int, steps: int) -> list[np.ndarray]:
     """All probability vectors of the given dimension whose entries are
     multiples of 1/steps."""
@@ -47,7 +57,7 @@ def oracle_search(
             f"instance has {free_parameters(n0, n1)} free parameters; "
             f"oracle is capped at {MAX_FREE_PARAMETERS}"
         )
-    steps = round(1.0 / resolution)
+    steps = _grid_steps(resolution)
     phi_cols = _grid_columns(n0, steps)
     phi_inv_cols = _grid_columns(n1, steps)
     eps = policy.epsilon
@@ -81,6 +91,7 @@ def grid_step_variation(
     entries within a single column; used as the tolerance when comparing
     the oracle's best against the optimizer's.
     """
+    _grid_steps(resolution)
     eps = policy.epsilon
     base = _total(o0, o1, mapping.phi, mapping.phi_inv, eps)
     worst = 0.0

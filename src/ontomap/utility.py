@@ -51,7 +51,7 @@ def read_utility(source) -> UtilityVector:
         doc = json.loads(source)
         n = int(doc["model_states"])
         values = [float(v) for v in doc["values"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"malformed utility file: {e}") from None
     if len(values) != n:
         raise ModelFormatError(

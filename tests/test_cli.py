@@ -93,6 +93,7 @@ def test_map_command_reproducible(corridor_files, tmp_path, capsys):
     assert main(args + ["--out", str(out_b)]) == 0
     assert (out_a / "map.json").read_bytes() == (out_b / "map.json").read_bytes()
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+    assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
 
 
 def test_objective_command(corridor_files, tmp_path, capsys):
@@ -140,3 +141,41 @@ def test_oracle_command(tmp_path, capsys):
     p2.write_bytes(write_model(build_corridor(CorridorSpec(2))))
     assert main(["oracle", str(p2), str(p2), "--resolution", "0.25"]) == 0
     assert "oracle total" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "map {c2} {c2} --restarts 0",
+        "map {c2} {c2} --max-iters 0",
+        "map {c2} {c2} --epsilon 0",
+        "map {c2} {c2} --epsilon nan",
+        "objective {c4} {c5} {map_sum_09}",
+        "translate {goal} {map_sum_09}",
+        "translate {utility_nan} {map}",
+        "translate {utility_inf} {map}",
+    ]
+    + [f"oracle {{c2}} {{c2}} --resolution {r}" for r in ("0", "-0.5", "0.3", "3", "inf", "nan")],
+)
+def test_bad_input_exits_1(argv, corridor_files, tmp_path, capsys):
+    p4, p5 = corridor_files
+    p2 = tmp_path / "c2.json"
+    p2.write_bytes(write_model(build_corridor(CorridorSpec(2))))
+    published = published_corridor_map()
+    (tmp_path / "map.json").write_bytes(write_map(published))
+    phi = published.phi.copy()
+    phi[0, 0] = 0.9  # column 1 sums to 0.9
+    (tmp_path / "map_sum_09.json").write_text(
+        json.dumps({"phi": phi.tolist(), "phi_inv": published.phi_inv.tolist()})
+    )
+    (tmp_path / "goal.json").write_bytes(write_utility(UtilityVector([0, 0, 0, 1])))
+    (tmp_path / "utility_nan.json").write_text('{"model_states": 4, "values": [0, NaN, 0, 1]}')
+    (tmp_path / "utility_inf.json").write_text('{"model_states": 4, "values": [0, 1e999, 0, 1]}')
+    paths = {"c2": p2, "c4": p4, "c5": p5}
+    for name in ("map", "map_sum_09", "goal", "utility_nan", "utility_inf"):
+        paths[name] = tmp_path / f"{name}.json"
+    args = [a.format(**paths) for a in argv.split()]
+    if args[0] in ("map", "translate"):
+        args += ["--out", str(tmp_path / "run")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -30,9 +30,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(step_decay=1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(min_step=0.0)
+        OptimizerConfig(max_iters=0)
 
 
 def test_random_map_trivial_case():

@@ -4,7 +4,8 @@ import pytest
 from conftest import permuted_copy
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.model import Alphabet, FiniteStateModel
-from ontomap.oracle import _grid_columns, free_parameters, oracle_search
+from ontomap.objective import OntologyMap
+from ontomap.oracle import _grid_columns, _grid_steps, free_parameters, grid_step_variation, oracle_search
 
 
 def one_state_model():
@@ -23,6 +24,14 @@ def test_grid_columns_cover_simplex():
     assert all(abs(c.sum() - 1.0) < 1e-12 for c in cols)
     cols3 = _grid_columns(3, 4)
     assert len(cols3) == 15  # compositions of 4 into 3 parts
+
+
+def test_resolution_must_divide_one():
+    assert [_grid_steps(r) for r in (0.05, 0.1, 0.25, 1.0)] == [20, 10, 4, 1]
+    m = one_state_model()
+    identity = OntologyMap(phi=[[1.0]], phi_inv=[[1.0]])
+    with pytest.raises(ValueError):
+        grid_step_variation(m, m, identity, resolution=0.3)
 
 
 def test_free_parameter_count():
