@@ -31,16 +31,15 @@ class SmoothingPolicy:
 DEFAULT_POLICY = SmoothingPolicy()
 
 
-def _kl_columns_raw(p: np.ndarray, q: np.ndarray, epsilon: float) -> float:
-    """Unchecked core; p must already be column-stochastic, q nonnegative.
-
-    math.fsum makes the result independent of term order, so identically
-    permuting the columns of both arguments changes nothing, exactly.
-    """
+def _smooth(q: np.ndarray, epsilon: float) -> np.ndarray:
+    """``q`` floored at ``epsilon``, each column (axis -2) renormalized."""
     qf = np.maximum(q, epsilon)
-    qf = qf / qf.sum(axis=0, keepdims=True)
-    mask = p > 0
-    return math.fsum(p[mask] * np.log(p[mask] / qf[mask]))
+    return qf / qf.sum(axis=-2, keepdims=True)
+
+
+def _kl_entries(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-entry KL contributions of positive true entries ``p``."""
+    return p * np.log(p / q)
 
 
 def kl_columns(p, q, policy: SmoothingPolicy = DEFAULT_POLICY) -> float:
@@ -63,4 +62,7 @@ def kl_columns(p, q, policy: SmoothingPolicy = DEFAULT_POLICY) -> float:
         raise ModelValidationError(violations)
     if not np.all(np.isfinite(q)) or np.any(q < 0):
         raise ValueError("approximation matrix has non-finite or negative entries")
-    return _kl_columns_raw(p, q, policy.epsilon)
+    # math.fsum makes the result independent of term order, so identically
+    # permuting the columns of both arguments changes nothing, exactly.
+    mask = p > 0
+    return math.fsum(_kl_entries(p[mask], _smooth(q, policy.epsilon)[mask]))

@@ -15,11 +15,12 @@ side only: A0 @ phi against A1, and A1 @ phi_inv against A0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DEFAULT_POLICY, SmoothingPolicy, _kl_columns_raw
+from .divergence import DEFAULT_POLICY, SmoothingPolicy, _kl_entries, _smooth
 from .divergence import kl_columns  # noqa: F401  (perfbench/spans.py wraps it here)
 from .model import FiniteStateModel, ModelFormatError, ModelValidationError
 from .model import column_violations, validate_model
@@ -127,38 +128,66 @@ def _check_pair(o0: FiniteStateModel, o1: FiniteStateModel) -> None:
             raise ValueError(f"{name} is not a valid model: {violations[0]}")
 
 
-def _objective(
-    o0: FiniteStateModel,
-    o1: FiniteStateModel,
-    phi: np.ndarray,
-    phi_inv: np.ndarray,
-    epsilon: float,
-) -> tuple:
-    """The objective, unvalidated, as ObjectiveReport's fields in order:
-    total, forward transition terms, forward output term, backward
-    transition terms, backward output term."""
-    forward = {}
-    backward = {}
-    for x in o0.motor:
-        t0 = o0.transitions[x]
-        t1 = o1.transitions[x]
-        forward[x] = _kl_columns_raw(t1, phi_inv @ t0 @ phi, epsilon)
-        backward[x] = _kl_columns_raw(t0, phi @ t1 @ phi_inv, epsilon)
-    forward_out = _kl_columns_raw(o1.output, o0.output @ phi, epsilon)
-    backward_out = _kl_columns_raw(o0.output, o1.output @ phi_inv, epsilon)
-    total = sum(forward.values()) + forward_out + sum(backward.values()) + backward_out
-    return total, forward, forward_out, backward, backward_out
+class PairObjective:
+    """The objective of one model pair, as a function of the map pair.
 
+    Built once per model pair: each model's transition matrices are stacked
+    in motor order, and the true side of every term is reduced to its
+    positive entries, in report order. Trusts its models and maps;
+    ``evaluate`` and ``optimize`` are the validated entry points.
+    """
 
-def _total(
-    o0: FiniteStateModel,
-    o1: FiniteStateModel,
-    phi: np.ndarray,
-    phi_inv: np.ndarray,
-    epsilon: float,
-) -> float:
-    """Objective total without validation; bit-identical to evaluate()'s."""
-    return _objective(o0, o1, phi, phi_inv, epsilon)[0]
+    def __init__(self, o0: FiniteStateModel, o1: FiniteStateModel, epsilon: float):
+        self.motor = o0.motor.symbols
+        self.epsilon = epsilon
+        self.t0 = np.stack([o0.transitions[x] for x in self.motor])
+        self.t1 = np.stack([o1.transitions[x] for x in self.motor])
+        self.a0 = o0.output
+        self.a1 = o1.output
+        # True sides as stacks of terms, in the order terms() approximates
+        # them: T1^x for each x, A1, T0^x for each x, A0.
+        trues = (self.t1, self.a1[None], self.t0, self.a0[None])
+        masks = [p > 0 for p in trues]
+        self.p = np.concatenate([p[mask] for p, mask in zip(trues, masks)])
+        self.index = np.flatnonzero(np.concatenate(masks, axis=None))
+        stops = np.cumsum(np.concatenate([np.count_nonzero(mask, axis=(1, 2)) for mask in masks]))
+        self.slices = list(zip([0] + stops[:-1].tolist(), stops.tolist()))
+
+    def terms(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[float]:
+        """Per-term values in report order: forward transition terms,
+        forward output, backward transition terms, backward output."""
+        eps = self.epsilon
+        q = np.concatenate(
+            (
+                _smooth(phi_inv @ self.t0 @ phi, eps),
+                _smooth(self.a0 @ phi, eps),
+                _smooth(phi @ self.t1 @ phi_inv, eps),
+                _smooth(self.a1 @ phi_inv, eps),
+            ),
+            axis=None,
+        )[self.index]
+        contributions = _kl_entries(self.p, q).tolist()
+        return [math.fsum(contributions[a:b]) for a, b in self.slices]
+
+    def _sum(self, terms: list[float]) -> float:
+        m = len(self.motor)
+        return sum(terms[:m]) + terms[m] + sum(terms[m + 1 : 2 * m + 1]) + terms[2 * m + 1]
+
+    def total(self, phi: np.ndarray, phi_inv: np.ndarray) -> float:
+        """The objective's value at (phi, phi_inv)."""
+        return self._sum(self.terms(phi, phi_inv))
+
+    def report(self, phi: np.ndarray, phi_inv: np.ndarray) -> ObjectiveReport:
+        """The objective at (phi, phi_inv) with its per-term breakdown."""
+        terms = self.terms(phi, phi_inv)
+        m = len(self.motor)
+        return ObjectiveReport(
+            total=self._sum(terms),
+            forward_transition_terms=dict(zip(self.motor, terms[:m])),
+            forward_output_term=terms[m],
+            backward_transition_terms=dict(zip(self.motor, terms[m + 1 : 2 * m + 1])),
+            backward_output_term=terms[2 * m + 1],
+        )
 
 
 def evaluate(
@@ -173,4 +202,4 @@ def evaluate(
         raise ValueError(
             f"map shape ({mapping.n0}, {mapping.n1}) does not match models ({o0.n}, {o1.n})"
         )
-    return ObjectiveReport(*_objective(o0, o1, mapping.phi, mapping.phi_inv, policy.epsilon))
+    return PairObjective(o0, o1, policy.epsilon).report(mapping.phi, mapping.phi_inv)

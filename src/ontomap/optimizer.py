@@ -17,7 +17,8 @@ import numpy as np
 
 from .divergence import DEFAULT_POLICY, SmoothingPolicy
 from .model import FiniteStateModel
-from .objective import ObjectiveReport, OntologyMap, _check_pair, _total, evaluate
+from .objective import ObjectiveReport, OntologyMap, PairObjective, _check_pair
+from .objective import evaluate  # noqa: F401  (perfbench/spans.py wraps it here)
 
 INITIAL_STEP = 0.5
 STEP_DECAY = 0.5
@@ -83,16 +84,18 @@ def hill_climb(
     """Climb from ``start``; returns (map, report, iterations used).
 
     The returned map's total never exceeds the start's, and the sequence of
-    accepted totals is strictly decreasing.
+    accepted totals is strictly decreasing. Trusts its models: ``optimize``
+    is the validated entry point.
     """
     if start.n0 != o0.n or start.n1 != o1.n:
         raise ValueError(
             f"map shape ({start.n0}, {start.n1}) does not match models ({o0.n}, {o1.n})"
         )
     eps = config.policy.epsilon
+    objective = PairObjective(o0, o1, eps)
     phi = np.array(start.phi)
     phi_inv = np.array(start.phi_inv)
-    current = _total(o0, o1, phi, phi_inv, eps)
+    current = objective.total(phi, phi_inv)
     step = INITIAL_STEP
     rejections = 0
     iters = 0
@@ -106,7 +109,7 @@ def hill_climb(
             mat, j = phi_inv, k - o1.n
         old_col = mat[:, j].copy()
         mat[:, j] = _perturb_column(old_col, step, eps, rng)
-        candidate = _total(o0, o1, phi, phi_inv, eps)
+        candidate = objective.total(phi, phi_inv)
         if candidate < current:
             current = candidate
             rejections = 0
@@ -117,7 +120,7 @@ def hill_climb(
                 step *= STEP_DECAY
                 rejections = 0
     result = OntologyMap(phi=phi, phi_inv=phi_inv)
-    return result, evaluate(o0, o1, result, config.policy), iters
+    return result, objective.report(result.phi, result.phi_inv), iters
 
 
 def _restart_rng(seed: int, restart: int) -> np.random.Generator:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .divergence import DEFAULT_POLICY, SmoothingPolicy
 from .model import FiniteStateModel
-from .objective import OntologyMap, _check_pair, _total
+from .objective import OntologyMap, PairObjective, _check_pair
 
 MAX_FREE_PARAMETERS = 6
 
@@ -60,7 +60,7 @@ def oracle_search(
     steps = _grid_steps(resolution)
     phi_cols = _grid_columns(n0, steps)
     phi_inv_cols = _grid_columns(n1, steps)
-    eps = policy.epsilon
+    objective = PairObjective(o0, o1, policy.epsilon)
     phi = np.empty((n0, n1))
     phi_inv = np.empty((n1, n0))
     best_total = np.inf
@@ -71,7 +71,7 @@ def oracle_search(
         for inv_choice in product(phi_inv_cols, repeat=n0):
             for j, col in enumerate(inv_choice):
                 phi_inv[:, j] = col
-            total = _total(o0, o1, phi, phi_inv, eps)
+            total = objective.total(phi, phi_inv)
             if total < best_total:
                 best_total = total
                 best = OntologyMap(phi=phi.copy(), phi_inv=phi_inv.copy())
@@ -92,8 +92,8 @@ def grid_step_variation(
     the oracle's best against the optimizer's.
     """
     _grid_steps(resolution)
-    eps = policy.epsilon
-    base = _total(o0, o1, mapping.phi, mapping.phi_inv, eps)
+    objective = PairObjective(o0, o1, policy.epsilon)
+    base = objective.total(mapping.phi, mapping.phi_inv)
     worst = 0.0
     for which in ("phi", "phi_inv"):
         mat = getattr(mapping, which)
@@ -108,6 +108,6 @@ def grid_step_variation(
                     target = phi if which == "phi" else phi_inv
                     target[a, j] -= resolution
                     target[b, j] += resolution
-                    total = _total(o0, o1, phi, phi_inv, eps)
+                    total = objective.total(phi, phi_inv)
                     worst = max(worst, abs(total - base))
     return worst

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ontomap.corridor import CorridorSpec, build_corridor
+from ontomap.divergence import SmoothingPolicy, kl_columns
 from ontomap.model import FiniteStateModel
 from ontomap.objective import OntologyMap
 
@@ -68,4 +69,19 @@ def random_model(rng: np.random.Generator, n: int, motor, sensor) -> FiniteState
         sensor=sensor,
         transitions={x: stoch(n, n) for x in motor},
         output=stoch(len(sensor), n),
+    )
+
+
+def reference_terms(o0, o1, phi, phi_inv, epsilon: float) -> list[float]:
+    """The objective's terms in report order, one public kl_columns call
+    each: the slow reference the objective kernel must match exactly."""
+    policy = SmoothingPolicy(epsilon=epsilon)
+    t0, t1 = o0.transitions, o1.transitions
+    forward = [kl_columns(t1[x], phi_inv @ t0[x] @ phi, policy) for x in o0.motor]
+    backward = [kl_columns(t0[x], phi @ t1[x] @ phi_inv, policy) for x in o0.motor]
+    return (
+        forward
+        + [kl_columns(o1.output, o0.output @ phi, policy)]
+        + backward
+        + [kl_columns(o0.output, o1.output @ phi_inv, policy)]
     )

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import permuted_copy, published_corridor_map, random_model
+from conftest import permuted_copy, published_corridor_map, random_model, reference_terms
 from ontomap.model import Alphabet, FiniteStateModel
-from ontomap.objective import OntologyMap, evaluate, read_map, write_map
+from ontomap.objective import OntologyMap, PairObjective, evaluate, read_map, write_map
 
 # Objective of the published corridor 4<->5 map under this implementation,
 # frozen at first computation as a regression constant.
@@ -155,3 +155,51 @@ def test_isomorphism_scores_near_zero(corridor4, seed, n):
     p[perm, np.arange(n)] = 1.0
     report = evaluate(o0, o1, OntologyMap(phi=p.T, phi_inv=p))
     assert report.total <= 1e-9
+
+
+def _sparse_stochastic(rng, rows, cols):
+    """Column-stochastic with exact zeros; some columns one-hot."""
+    m = rng.standard_exponential((rows, cols))
+    m[rng.random((rows, cols)) < 0.4] = 0.0
+    one_hot = rng.random(cols) < 0.3
+    m[:, one_hot] = 0.0
+    empty = m.sum(axis=0) == 0
+    m[rng.integers(rows, size=cols)[empty], np.flatnonzero(empty)] = 1.0
+    return m / m.sum(axis=0, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n0=st.integers(1, 8),
+    n1=st.integers(1, 8),
+    motor=st.integers(1, 3),
+    sensor=st.integers(1, 4),
+    epsilon=st.sampled_from([1e-9, 1e-6, 1e-3]),
+)
+def test_kernel_equals_kl_columns_exactly(seed, n0, n1, motor, sensor, epsilon):
+    rng = np.random.default_rng(seed)
+    mot = Alphabet(tuple(f"x{i}" for i in range(motor)))
+    sen = Alphabet(tuple(f"s{i}" for i in range(sensor)))
+
+    def model(n):
+        return FiniteStateModel(
+            n=n,
+            motor=mot,
+            sensor=sen,
+            transitions={x: _sparse_stochastic(rng, n, n) for x in mot},
+            output=_sparse_stochastic(rng, sensor, n),
+        )
+
+    o0, o1 = model(n0), model(n1)
+    phi = _sparse_stochastic(rng, n0, n1)
+    phi_inv = _sparse_stochastic(rng, n1, n0)
+    kernel = PairObjective(o0, o1, epsilon)
+    want = reference_terms(o0, o1, phi, phi_inv, epsilon)
+    assert kernel.terms(phi, phi_inv) == want
+    fwd, fwd_out = want[:motor], want[motor]
+    bwd, bwd_out = want[motor + 1 : 2 * motor + 1], want[2 * motor + 1]
+    assert kernel.total(phi, phi_inv) == sum(fwd) + fwd_out + sum(bwd) + bwd_out
+    report = kernel.report(phi, phi_inv)
+    assert report.terms() == want
+    assert report.total == kernel.total(phi, phi_inv)

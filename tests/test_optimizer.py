@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model
+from conftest import random_model, reference_terms
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import SmoothingPolicy
 from ontomap.model import Alphabet, FiniteStateModel
-from ontomap.objective import OntologyMap, evaluate
+from ontomap.objective import OntologyMap, PairObjective, evaluate
 from ontomap.optimizer import OptimizerConfig, hill_climb, optimize, random_map
 
 MOTOR = Alphabet(("a", "b"))
@@ -79,21 +79,57 @@ def test_hill_climb_dimension_mismatch(corridor4, corridor5):
 def test_final_total_is_running_minimum(corridor4, corridor5, monkeypatch):
     # The accepted-totals sequence is strictly decreasing by construction;
     # check the reported final equals the minimum ever evaluated & accepted.
-    import ontomap.optimizer as opt
-
     seen = []
-    real = opt._total
+    real = PairObjective.total
 
-    def recording(*args):
-        v = real(*args)
+    def recording(self, phi, phi_inv):
+        v = real(self, phi, phi_inv)
         seen.append(v)
         return v
 
-    monkeypatch.setattr(opt, "_total", recording)
+    monkeypatch.setattr(PairObjective, "total", recording)
     rng = np.random.default_rng(5)
     start = random_map(4, 5, rng)
-    _, report, _ = hill_climb(corridor4, corridor5, start, FAST, rng)
+    _, report, iters = hill_climb(corridor4, corridor5, start, FAST, rng)
+    assert len(seen) == iters + 1
     assert report.total == min(seen)
+
+
+def test_hill_climb_matches_reference_objective(corridor4, corridor5, monkeypatch):
+    # The kernel scores every proposal exactly as the public kl_columns
+    # does, so climbing on either accepts the same moves.
+    def climb():
+        rng = np.random.default_rng(3)
+        return hill_climb(corridor4, corridor5, random_map(4, 5, rng), FAST, rng)
+
+    fast, _, fast_iters = climb()
+
+    def reference_total(self, phi, phi_inv):
+        t = reference_terms(corridor4, corridor5, phi, phi_inv, self.epsilon)
+        m = len(corridor4.motor)
+        return sum(t[:m]) + t[m] + sum(t[m + 1 : 2 * m + 1]) + t[2 * m + 1]
+
+    monkeypatch.setattr(PairObjective, "total", reference_total)
+    slow, _, slow_iters = climb()
+    assert fast_iters == slow_iters
+    assert fast.phi.tobytes() == slow.phi.tobytes()
+    assert fast.phi_inv.tobytes() == slow.phi_inv.tobytes()
+
+
+def test_optimize_validates_models_once(corridor4, corridor5, monkeypatch):
+    # optimize checks both models up front; the restarts trust them.
+    import ontomap.objective
+
+    calls = []
+    real = ontomap.objective.validate_model
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(ontomap.objective, "validate_model", counting)
+    optimize(corridor4, corridor5, OptimizerConfig(restarts=10, max_iters=10))
+    assert len(calls) == 2
 
 
 def test_best_of_restarts_selection(corridor4, corridor5):
