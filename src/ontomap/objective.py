@@ -128,6 +128,12 @@ def _check_pair(o0: FiniteStateModel, o1: FiniteStateModel) -> None:
             raise ValueError(f"{name} is not a valid model: {violations[0]}")
 
 
+# Cap on the float64 entries of one stacked approximation: 16 384 entries
+# (128 KiB) keep a batch's temporaries in cache; larger stacks page-fault
+# more than batching saves. Callers split their stacks by ``batch``.
+MAX_STACK_ENTRIES = 16384
+
+
 class PairObjective:
     """The objective of one model pair, as a function of the map pair.
 
@@ -148,30 +154,48 @@ class PairObjective:
         # them: T1^x for each x, A1, T0^x for each x, A0.
         trues = (self.t1, self.a1[None], self.t0, self.a0[None])
         masks = [p > 0 for p in trues]
-        self.p = np.concatenate([p[mask] for p, mask in zip(trues, masks)])
+        # As a row, so that one map pair's entries need no broadcasting.
+        self.p = np.concatenate([p[mask] for p, mask in zip(trues, masks)])[None]
         self.index = np.flatnonzero(np.concatenate(masks, axis=None))
         stops = np.cumsum(np.concatenate([np.count_nonzero(mask, axis=(1, 2)) for mask in masks]))
         self.slices = list(zip([0] + stops[:-1].tolist(), stops.tolist()))
+        entries = sum(mask.size for mask in masks)
+        #: Map pairs per ``totals`` call that keep it within MAX_STACK_ENTRIES.
+        self.batch = max(1, MAX_STACK_ENTRIES // entries)
 
-    def terms(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[float]:
-        """Per-term values in report order: forward transition terms,
-        forward output, backward transition terms, backward output."""
+    def _stack_terms(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[list[float]]:
+        """Per-term values of each map pair in stacks of shape (R, n0, n1)
+        and (R, n1, n0)."""
         eps = self.epsilon
+        r = len(phi)
         q = np.concatenate(
             (
-                _smooth(phi_inv @ self.t0 @ phi, eps),
-                _smooth(self.a0 @ phi, eps),
-                _smooth(phi @ self.t1 @ phi_inv, eps),
-                _smooth(self.a1 @ phi_inv, eps),
+                _smooth(phi_inv[:, None] @ self.t0 @ phi[:, None], eps).reshape(r, -1),
+                _smooth(self.a0 @ phi, eps).reshape(r, -1),
+                _smooth(phi[:, None] @ self.t1 @ phi_inv[:, None], eps).reshape(r, -1),
+                _smooth(self.a1 @ phi_inv, eps).reshape(r, -1),
             ),
-            axis=None,
-        )[self.index]
-        contributions = _kl_entries(self.p, q).tolist()
-        return [math.fsum(contributions[a:b]) for a, b in self.slices]
+            axis=1,
+        ).take(self.index, axis=1)
+        # math.fsum reads a memoryview's floats without building a list.
+        return [
+            [math.fsum(row[a:b]) for a, b in self.slices]
+            for row in map(memoryview, _kl_entries(self.p, q))
+        ]
 
     def _sum(self, terms: list[float]) -> float:
         m = len(self.motor)
         return sum(terms[:m]) + terms[m] + sum(terms[m + 1 : 2 * m + 1]) + terms[2 * m + 1]
+
+    def totals(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[float]:
+        """The objective at each map pair of stacks (R, n0, n1) and
+        (R, n1, n0); each value equals ``total`` of that pair exactly."""
+        return [self._sum(terms) for terms in self._stack_terms(phi, phi_inv)]
+
+    def terms(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[float]:
+        """Per-term values in report order: forward transition terms,
+        forward output, backward transition terms, backward output."""
+        return self._stack_terms(phi[None], phi_inv[None])[0]
 
     def total(self, phi: np.ndarray, phi_inv: np.ndarray) -> float:
         """The objective's value at (phi, phi_inv)."""

@@ -6,7 +6,8 @@ keeps every iterate strictly interior to the simplex. Only strictly
 improving moves are accepted; the step is halved after ``PATIENCE``
 consecutive rejections and the climb stops once it falls below
 ``MIN_STEP``. Restarts draw from independent, seed-derived RNG streams, so
-results do not depend on execution order.
+results do not depend on execution order: ``optimize`` climbs them in
+lock-step and scores all their proposals in one batched objective call.
 """
 
 from __future__ import annotations
@@ -66,12 +67,81 @@ def random_map(n0: int, n1: int, rng: np.random.Generator) -> OntologyMap:
     )
 
 
-def _perturb_column(col: np.ndarray, step: float, epsilon: float, rng: np.random.Generator) -> np.ndarray:
-    logits = np.log(np.maximum(col, epsilon))
-    logits = logits + step * rng.standard_normal(len(col))
-    logits -= logits.max()
+def _perturb_rows(rows: np.ndarray, steps: np.ndarray, epsilon: float, noise: np.ndarray) -> np.ndarray:
+    """Each row (a column of one restart's map) moved in logit space by its
+    restart's step times its noise, then mapped back to the simplex."""
+    logits = np.log(np.maximum(rows, epsilon))
+    logits += steps[:, None] * noise
+    logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _climb(
+    objective: PairObjective,
+    starts: list[OntologyMap],
+    rngs: list[np.random.Generator],
+    max_iters: int,
+) -> list[tuple[np.ndarray, np.ndarray, float, int]]:
+    """Climb from each start with its own rng, all restarts in lock-step.
+
+    Each restart draws from its rng exactly as a climb on its own would
+    (a column, then that column's noise) and keeps its own step, rejection
+    count and stop test; all candidates are scored in one ``totals`` call.
+    Returns (phi, phi_inv, total, iterations) per restart.
+    """
+    n0, n1 = starts[0].n0, starts[0].n1
+    n_cols = n1 + n0  # phi has n1 columns, phi_inv has n0
+    eps = objective.epsilon
+    phi = np.stack([s.phi for s in starts])
+    phi_inv = np.stack([s.phi_inv for s in starts])
+    current = objective.totals(phi, phi_inv)
+    step = [INITIAL_STEP] * len(starts)
+    rejections = [0] * len(starts)
+    live = list(range(len(starts)))  # restart index of each stack entry
+    done = [None] * len(starts)
+    iters = 0
+    while live:
+        keep = []
+        for i, s in enumerate(step):
+            if iters < max_iters and s >= MIN_STEP:
+                keep.append(i)
+            else:
+                done[live[i]] = (phi[i], phi_inv[i], current[i], iters)
+        if len(keep) < len(live):
+            phi, phi_inv = phi[keep], phi_inv[keep]
+            current, step, rejections, live = (
+                [a[i] for i in keep] for a in (current, step, rejections, live)
+            )
+            continue
+        iters += 1
+        # Changed columns, gathered as rows of one batch per matrix.
+        batches = ([], [])  # (stack entry, column, noise)
+        for i, r in enumerate(live):
+            k = int(rngs[r].integers(n_cols))
+            m, j = (0, k) if k < n1 else (1, k - n1)
+            batches[m].append((i, j, rngs[r].standard_normal(n1 if m else n0)))
+        undo = {}
+        for mat, batch in zip((phi, phi_inv), batches):
+            if batch:
+                old = np.array([mat[i, :, j] for i, j, _ in batch])
+                steps = np.array([step[i] for i, _, _ in batch])
+                new = _perturb_rows(old, steps, eps, np.array([z for _, _, z in batch]))
+                for (i, j, _), row, before in zip(batch, new, old):
+                    mat[i, :, j] = row
+                    undo[i] = (mat, j, before)
+        for i, c in enumerate(objective.totals(phi, phi_inv)):
+            if c < current[i]:
+                current[i] = c
+                rejections[i] = 0
+                continue
+            mat, j, before = undo[i]
+            mat[i, :, j] = before
+            rejections[i] += 1
+            if rejections[i] >= PATIENCE:
+                step[i] *= STEP_DECAY
+                rejections[i] = 0
+    return done
 
 
 def hill_climb(
@@ -91,34 +161,8 @@ def hill_climb(
         raise ValueError(
             f"map shape ({start.n0}, {start.n1}) does not match models ({o0.n}, {o1.n})"
         )
-    eps = config.policy.epsilon
-    objective = PairObjective(o0, o1, eps)
-    phi = np.array(start.phi)
-    phi_inv = np.array(start.phi_inv)
-    current = objective.total(phi, phi_inv)
-    step = INITIAL_STEP
-    rejections = 0
-    iters = 0
-    n_cols = o1.n + o0.n  # phi has n1 columns, phi_inv has n0
-    while iters < config.max_iters and step >= MIN_STEP:
-        iters += 1
-        k = int(rng.integers(n_cols))
-        if k < o1.n:
-            mat, j = phi, k
-        else:
-            mat, j = phi_inv, k - o1.n
-        old_col = mat[:, j].copy()
-        mat[:, j] = _perturb_column(old_col, step, eps, rng)
-        candidate = objective.total(phi, phi_inv)
-        if candidate < current:
-            current = candidate
-            rejections = 0
-        else:
-            mat[:, j] = old_col
-            rejections += 1
-            if rejections >= PATIENCE:
-                step *= STEP_DECAY
-                rejections = 0
+    objective = PairObjective(o0, o1, config.policy.epsilon)
+    [(phi, phi_inv, _, iters)] = _climb(objective, [start], [rng], config.max_iters)
     result = OntologyMap(phi=phi, phi_inv=phi_inv)
     return result, objective.report(result.phi, result.phi_inv), iters
 
@@ -140,17 +184,23 @@ def optimize(
     toward the lowest restart index.
     """
     _check_pair(o0, o1)
+    objective = PairObjective(o0, o1, config.policy.epsilon)
     outcomes = []
     best = None
-    best_restart = None
-    for r in range(config.restarts):
-        rng = _restart_rng(config.seed, r)
-        start = random_map(o0.n, o1.n, rng)
-        mapping, report, iters = hill_climb(o0, o1, start, config, rng)
-        outcomes.append(RestartOutcome(restart=r, final_total=report.total, iterations=iters))
-        if best is None or report.total < best[1].total:
-            best = (mapping, report)
-            best_restart = r
+    # Restarts are independent, so climbing them in groups of the kernel's
+    # batch size changes no result.
+    for first in range(0, config.restarts, objective.batch):
+        group = range(first, min(first + objective.batch, config.restarts))
+        rngs = [_restart_rng(config.seed, r) for r in group]
+        starts = [random_map(o0.n, o1.n, rng) for rng in rngs]
+        climbs = _climb(objective, starts, rngs, config.max_iters)
+        for r, (phi, phi_inv, total, iters) in zip(group, climbs):
+            outcomes.append(RestartOutcome(restart=r, final_total=total, iterations=iters))
+            if best is None or total < best[2]:
+                best = (phi, phi_inv, total)
+    best_map = OntologyMap(phi=best[0], phi_inv=best[1])
     return OptimizationResult(
-        best_map=best[0], best_report=best[1], per_restart=tuple(outcomes)
+        best_map=best_map,
+        best_report=objective.report(best_map.phi, best_map.phi_inv),
+        per_restart=tuple(outcomes),
     )

@@ -32,15 +32,22 @@ def _grid_steps(resolution: float) -> int:
     return steps
 
 
-def _grid_columns(dim: int, steps: int) -> list[np.ndarray]:
+def _grid_columns(dim: int, steps: int) -> np.ndarray:
     """All probability vectors of the given dimension whose entries are
-    multiples of 1/steps."""
+    multiples of 1/steps, one per row."""
     cols = []
     for combo in product(range(steps + 1), repeat=dim - 1):
         rest = steps - sum(combo)
         if rest >= 0:
             cols.append(np.array(combo + (rest,), dtype=float) / steps)
-    return cols
+    return np.array(cols)
+
+
+def _grid_maps(cols: np.ndarray, n_cols: int, choices: np.ndarray) -> np.ndarray:
+    """The maps numbered ``choices`` in ``product(cols, repeat=n_cols)``
+    order, as a stack of matrices whose columns are rows of ``cols``."""
+    digits = np.stack(np.unravel_index(choices, (len(cols),) * n_cols), axis=-1)
+    return np.ascontiguousarray(cols[digits].transpose(0, 2, 1))
 
 
 def oracle_search(
@@ -49,7 +56,11 @@ def oracle_search(
     resolution: float = 0.05,
     policy: SmoothingPolicy = DEFAULT_POLICY,
 ) -> tuple[OntologyMap, float]:
-    """Exhaustive search; returns (best map, best total)."""
+    """Exhaustive search; returns (best map, best total).
+
+    Ties keep the first grid point in enumeration order: phi outer,
+    phi_inv inner, each in ``product`` order of its grid columns.
+    """
     _check_pair(o0, o1)
     n0, n1 = o0.n, o1.n
     if free_parameters(n0, n1) > MAX_FREE_PARAMETERS:
@@ -60,21 +71,20 @@ def oracle_search(
     steps = _grid_steps(resolution)
     phi_cols = _grid_columns(n0, steps)
     phi_inv_cols = _grid_columns(n1, steps)
+    n_inv = len(phi_inv_cols) ** n0
+    n_points = len(phi_cols) ** n1 * n_inv
     objective = PairObjective(o0, o1, policy.epsilon)
-    phi = np.empty((n0, n1))
-    phi_inv = np.empty((n1, n0))
     best_total = np.inf
     best = None
-    for phi_choice in product(phi_cols, repeat=n1):
-        for j, col in enumerate(phi_choice):
-            phi[:, j] = col
-        for inv_choice in product(phi_inv_cols, repeat=n0):
-            for j, col in enumerate(inv_choice):
-                phi_inv[:, j] = col
-            total = objective.total(phi, phi_inv)
-            if total < best_total:
-                best_total = total
-                best = OntologyMap(phi=phi.copy(), phi_inv=phi_inv.copy())
+    for first in range(0, n_points, objective.batch):
+        points = np.arange(first, min(first + objective.batch, n_points))
+        phi = _grid_maps(phi_cols, n1, points // n_inv)
+        phi_inv = _grid_maps(phi_inv_cols, n0, points % n_inv)
+        totals = objective.totals(phi, phi_inv)
+        i = int(np.argmin(totals))
+        if totals[i] < best_total:
+            best_total = totals[i]
+            best = OntologyMap(phi=phi[i], phi_inv=phi_inv[i])
     return best, best_total
 
 
@@ -91,6 +101,7 @@ def grid_step_variation(
     entries within a single column; used as the tolerance when comparing
     the oracle's best against the optimizer's.
     """
+    _check_pair(o0, o1)
     _grid_steps(resolution)
     objective = PairObjective(o0, o1, policy.epsilon)
     base = objective.total(mapping.phi, mapping.phi_inv)

@@ -168,6 +168,20 @@ def _sparse_stochastic(rng, rows, cols):
     return m / m.sum(axis=0, keepdims=True)
 
 
+def _sparse_model(rng, n, motor, sensor):
+    return FiniteStateModel(
+        n=n,
+        motor=motor,
+        sensor=sensor,
+        transitions={x: _sparse_stochastic(rng, n, n) for x in motor},
+        output=_sparse_stochastic(rng, len(sensor), n),
+    )
+
+
+def _alphabets(motor, sensor):
+    return Alphabet(tuple(f"x{i}" for i in range(motor))), Alphabet(tuple(f"s{i}" for i in range(sensor)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -179,19 +193,8 @@ def _sparse_stochastic(rng, rows, cols):
 )
 def test_kernel_equals_kl_columns_exactly(seed, n0, n1, motor, sensor, epsilon):
     rng = np.random.default_rng(seed)
-    mot = Alphabet(tuple(f"x{i}" for i in range(motor)))
-    sen = Alphabet(tuple(f"s{i}" for i in range(sensor)))
-
-    def model(n):
-        return FiniteStateModel(
-            n=n,
-            motor=mot,
-            sensor=sen,
-            transitions={x: _sparse_stochastic(rng, n, n) for x in mot},
-            output=_sparse_stochastic(rng, sensor, n),
-        )
-
-    o0, o1 = model(n0), model(n1)
+    mot, sen = _alphabets(motor, sensor)
+    o0, o1 = _sparse_model(rng, n0, mot, sen), _sparse_model(rng, n1, mot, sen)
     phi = _sparse_stochastic(rng, n0, n1)
     phi_inv = _sparse_stochastic(rng, n1, n0)
     kernel = PairObjective(o0, o1, epsilon)
@@ -203,3 +206,28 @@ def test_kernel_equals_kl_columns_exactly(seed, n0, n1, motor, sensor, epsilon):
     report = kernel.report(phi, phi_inv)
     assert report.terms() == want
     assert report.total == kernel.total(phi, phi_inv)
+
+
+_STATES = st.one_of(st.integers(1, 8), st.integers(16, 40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 12),
+    n0=_STATES,
+    n1=_STATES,
+    motor=st.integers(1, 3),
+    sensor=st.integers(1, 4),
+    epsilon=st.sampled_from([1e-9, 1e-6, 1e-3]),
+)
+def test_totals_equal_total_exactly(seed, r, n0, n1, motor, sensor, epsilon):
+    # A stack scores each of its map pairs bit for bit as a single call
+    # does, so batching restarts or grid points changes no decision.
+    rng = np.random.default_rng(seed)
+    mot, sen = _alphabets(motor, sensor)
+    o0, o1 = _sparse_model(rng, n0, mot, sen), _sparse_model(rng, n1, mot, sen)
+    phi = np.stack([_sparse_stochastic(rng, n0, n1) for _ in range(r)])
+    phi_inv = np.stack([_sparse_stochastic(rng, n1, n0) for _ in range(r)])
+    kernel = PairObjective(o0, o1, epsilon)
+    assert kernel.totals(phi, phi_inv) == [kernel.total(phi[i], phi_inv[i]) for i in range(r)]

@@ -7,8 +7,9 @@ from conftest import random_model, reference_terms
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import SmoothingPolicy
 from ontomap.model import Alphabet, FiniteStateModel
-from ontomap.objective import OntologyMap, PairObjective, evaluate
-from ontomap.optimizer import OptimizerConfig, hill_climb, optimize, random_map
+from ontomap.objective import MAX_STACK_ENTRIES, OntologyMap, PairObjective, evaluate
+from ontomap.optimizer import INITIAL_STEP, MIN_STEP, PATIENCE, STEP_DECAY, OptimizerConfig, _restart_rng
+from ontomap.optimizer import hill_climb, optimize, random_map
 
 MOTOR = Alphabet(("a", "b"))
 SENSOR = Alphabet(("s1", "s2"))
@@ -80,14 +81,14 @@ def test_final_total_is_running_minimum(corridor4, corridor5, monkeypatch):
     # The accepted-totals sequence is strictly decreasing by construction;
     # check the reported final equals the minimum ever evaluated & accepted.
     seen = []
-    real = PairObjective.total
+    real = PairObjective.totals
 
     def recording(self, phi, phi_inv):
         v = real(self, phi, phi_inv)
-        seen.append(v)
+        seen.extend(v)
         return v
 
-    monkeypatch.setattr(PairObjective, "total", recording)
+    monkeypatch.setattr(PairObjective, "totals", recording)
     rng = np.random.default_rng(5)
     start = random_map(4, 5, rng)
     _, report, iters = hill_climb(corridor4, corridor5, start, FAST, rng)
@@ -104,12 +105,15 @@ def test_hill_climb_matches_reference_objective(corridor4, corridor5, monkeypatc
 
     fast, _, fast_iters = climb()
 
-    def reference_total(self, phi, phi_inv):
-        t = reference_terms(corridor4, corridor5, phi, phi_inv, self.epsilon)
+    def reference_totals(self, phi, phi_inv):
         m = len(corridor4.motor)
-        return sum(t[:m]) + t[m] + sum(t[m + 1 : 2 * m + 1]) + t[2 * m + 1]
+        out = []
+        for p, p_inv in zip(phi, phi_inv):
+            t = reference_terms(corridor4, corridor5, p, p_inv, self.epsilon)
+            out.append(sum(t[:m]) + t[m] + sum(t[m + 1 : 2 * m + 1]) + t[2 * m + 1])
+        return out
 
-    monkeypatch.setattr(PairObjective, "total", reference_total)
+    monkeypatch.setattr(PairObjective, "totals", reference_totals)
     slow, _, slow_iters = climb()
     assert fast_iters == slow_iters
     assert fast.phi.tobytes() == slow.phi.tobytes()
@@ -130,6 +134,109 @@ def test_optimize_validates_models_once(corridor4, corridor5, monkeypatch):
     monkeypatch.setattr(ontomap.objective, "validate_model", counting)
     optimize(corridor4, corridor5, OptimizerConfig(restarts=10, max_iters=10))
     assert len(calls) == 2
+
+
+def _pair(n0, n1, seed):
+    rng = np.random.default_rng(seed)
+    return random_model(rng, n0, MOTOR, SENSOR), random_model(rng, n1, MOTOR, SENSOR)
+
+
+def _scalar_climb(o0, o1, start, config, rng):
+    """One restart climbed a column at a time with scalar bookkeeping: the
+    loop the lock-step climber must reproduce exactly."""
+    eps = config.policy.epsilon
+    objective = PairObjective(o0, o1, eps)
+    phi, phi_inv = np.array(start.phi), np.array(start.phi_inv)
+    current = objective.total(phi, phi_inv)
+    step, rejections, iters = INITIAL_STEP, 0, 0
+    while iters < config.max_iters and step >= MIN_STEP:
+        iters += 1
+        k = int(rng.integers(o1.n + o0.n))
+        mat, j = (phi, k) if k < o1.n else (phi_inv, k - o1.n)
+        old = mat[:, j].copy()
+        logits = np.log(np.maximum(old, eps)) + step * rng.standard_normal(len(old))
+        logits -= logits.max()
+        e = np.exp(logits)
+        mat[:, j] = e / e.sum()
+        candidate = objective.total(phi, phi_inv)
+        if candidate < current:
+            current, rejections = candidate, 0
+        else:
+            mat[:, j] = old
+            rejections += 1
+            if rejections >= PATIENCE:
+                step, rejections = step * STEP_DECAY, 0
+    return phi, phi_inv, current, iters
+
+
+@pytest.mark.parametrize("shape", ["corridor", (1, 2), (17, 9), (40, 33)])
+def test_hill_climb_matches_scalar_loop(corridor4, corridor5, shape):
+    o0, o1 = (corridor4, corridor5) if shape == "corridor" else _pair(*shape, 2)
+    config = OptimizerConfig(max_iters=6000 if o0.n + o1.n < 10 else 150)
+    rng = np.random.default_rng(4)
+    start = random_map(o0.n, o1.n, rng)
+    state = rng.bit_generator.state
+    mapping, report, iters = hill_climb(o0, o1, start, config, rng)
+    rng.bit_generator.state = state
+    phi, phi_inv, total, want_iters = _scalar_climb(o0, o1, start, config, rng)
+    assert (report.total, iters) == (total, want_iters)
+    assert mapping.phi.tobytes() == phi.tobytes()
+    assert mapping.phi_inv.tobytes() == phi_inv.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, config",
+    [
+        ("corridor", OptimizerConfig(seed=0, restarts=6, max_iters=1500)),
+        ((2, 3), OptimizerConfig(seed=1, restarts=5, max_iters=2000)),
+        ((3, 2), OptimizerConfig(seed=2, restarts=4, max_iters=2000)),
+        ((9, 9), OptimizerConfig(seed=3, restarts=4, max_iters=400)),
+        ((17, 9), OptimizerConfig(seed=4, restarts=3, max_iters=200)),
+        ((17, 17), OptimizerConfig(seed=5, restarts=2, max_iters=100)),
+        # Restarts that stop on MIN_STEP, each at its own iteration.
+        ((1, 2), OptimizerConfig(seed=0, restarts=4, max_iters=20000)),
+    ],
+)
+def test_lock_step_matches_sequential_climbs(corridor4, corridor5, shape, config):
+    # optimize climbs its restarts together; each must end exactly where a
+    # climb of that restart alone, from the same stream, ends.
+    o0, o1 = (corridor4, corridor5) if shape == "corridor" else _pair(*shape, 1)
+    res = optimize(o0, o1, config)
+    alone = []
+    for r in range(config.restarts):
+        rng = _restart_rng(config.seed, r)
+        alone.append(hill_climb(o0, o1, random_map(o0.n, o1.n, rng), config, rng))
+    assert [(o.final_total, o.iterations) for o in res.per_restart] == [
+        (report.total, iters) for _, report, iters in alone
+    ]
+    best = min(range(config.restarts), key=lambda r: alone[r][1].total)
+    assert res.best_map.phi.tobytes() == alone[best][0].phi.tobytes()
+    assert res.best_map.phi_inv.tobytes() == alone[best][0].phi_inv.tobytes()
+    assert res.best_report == alone[best][1]
+    if shape == (1, 2):
+        iters = [o.iterations for o in res.per_restart]
+        assert max(iters) < config.max_iters and len(set(iters)) == len(iters)
+
+
+@pytest.mark.parametrize("n", [9, 64])
+def test_totals_stacks_within_entry_cap(n, monkeypatch):
+    o0, o1 = _pair(n, n, 2)
+    pair_entries = 2 * len(MOTOR) * n * n + 2 * len(SENSOR) * n
+    shapes = []
+    real = PairObjective.totals
+
+    def recording(self, phi, phi_inv):
+        shapes.append((phi.shape, phi_inv.shape))
+        return real(self, phi, phi_inv)
+
+    monkeypatch.setattr(PairObjective, "totals", recording)
+    optimize(o0, o1, OptimizerConfig(seed=0, restarts=50, max_iters=2))
+    assert sum(a[0] for a, _ in shapes) == 50 * 3
+    assert all(a[0] == b[0] for a, b in shapes)
+    # One map pair per call is the least a call can score.
+    assert all(a[0] == 1 or a[0] * pair_entries <= MAX_STACK_ENTRIES for a, _ in shapes)
+    if pair_entries < MAX_STACK_ENTRIES // 2:
+        assert max(a[0] for a, _ in shapes) > 1
 
 
 def test_best_of_restarts_selection(corridor4, corridor5):

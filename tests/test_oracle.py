@@ -1,10 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+import ontomap.objective
 from conftest import permuted_copy
 from ontomap.corridor import CorridorSpec, build_corridor
+from ontomap.divergence import DEFAULT_POLICY
 from ontomap.model import Alphabet, FiniteStateModel
-from ontomap.objective import OntologyMap
+from ontomap.objective import OntologyMap, PairObjective
 from ontomap.oracle import _grid_columns, _grid_steps, free_parameters, grid_step_variation, oracle_search
 
 
@@ -32,6 +36,16 @@ def test_resolution_must_divide_one():
     identity = OntologyMap(phi=[[1.0]], phi_inv=[[1.0]])
     with pytest.raises(ValueError):
         grid_step_variation(m, m, identity, resolution=0.3)
+
+
+def test_step_variation_rejects_mismatched_alphabets():
+    m = one_state_model()
+    other = FiniteStateModel(
+        n=1, motor=Alphabet(("b",)), sensor=Alphabet(("s",)), transitions={"b": [[1.0]]}, output=[[1.0]]
+    )
+    identity = OntologyMap(phi=[[1.0]], phi_inv=[[1.0]])
+    with pytest.raises(ValueError):
+        grid_step_variation(m, other, identity, resolution=0.5)
 
 
 def test_free_parameter_count():
@@ -68,3 +82,37 @@ def test_permuted_two_state_recovers_swap():
     assert total <= 1e-3
     assert np.array_equal(np.argmax(mapping.phi, axis=0), [1, 0])
     assert np.array_equal(np.argmax(mapping.phi_inv, axis=0), [1, 0])
+
+
+def _first_strict_minimum(o0, o1, resolution):
+    """Every grid point scored one at a time, phi outer and phi_inv inner;
+    the first point with the least total wins. Also returns all totals."""
+    steps = _grid_steps(resolution)
+    objective = PairObjective(o0, o1, DEFAULT_POLICY.epsilon)
+    best, best_total, totals = None, np.inf, []
+    for phi_cols in product(_grid_columns(o0.n, steps), repeat=o1.n):
+        for inv_cols in product(_grid_columns(o1.n, steps), repeat=o0.n):
+            phi, phi_inv = np.stack(phi_cols, axis=1), np.stack(inv_cols, axis=1)
+            total = objective.total(phi, phi_inv)
+            totals.append(total)
+            if total < best_total:
+                best, best_total = (phi, phi_inv), total
+    return best, best_total, totals
+
+
+@pytest.mark.parametrize("cap", [None, 16, 7 * 16, 104 * 16, 105 * 16])
+def test_chunked_oracle_keeps_first_minimum(cap, monkeypatch):
+    # Two states that only the output could tell apart, and it does not:
+    # the identity and the swap tie exactly, in grid points 520 and 104.
+    m = FiniteStateModel(
+        n=2, motor=Alphabet(("a",)), sensor=Alphabet(("s1", "s2")),
+        transitions={"a": np.eye(2)}, output=np.full((2, 2), 0.5),
+    )
+    (phi, phi_inv), want, totals = _first_strict_minimum(m, m, 0.25)
+    assert totals.count(want) >= 2
+    if cap is not None:
+        monkeypatch.setattr(ontomap.objective, "MAX_STACK_ENTRIES", cap)
+    mapping, total = oracle_search(m, m, resolution=0.25)
+    assert total == want
+    assert mapping.phi.tobytes() == phi.tobytes()
+    assert mapping.phi_inv.tobytes() == phi_inv.tobytes()
