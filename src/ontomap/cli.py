@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for validation/domain errors, 2 for I/O or
-parse errors. Commands that write outputs also write a run manifest next
-to them, recording the inputs and configuration needed to reproduce the
-run exactly.
+parse errors; ``main`` is the one place an exception becomes an exit code.
+Commands that write outputs also write a run manifest next to them,
+recording the inputs and configuration needed to reproduce the run
+exactly.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,9 +18,9 @@ import numpy as np
 from .corridor import CorridorSpec, build_corridor
 from .divergence import SmoothingPolicy
 from .model import (
-    FiniteStateModel,
     ModelFormatError,
     ModelValidationError,
+    dump_json,
     read_model,
     write_model,
 )
@@ -33,137 +33,80 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _load(path: str, reader):
-    p = Path(path)
-    try:
-        data = p.read_bytes()
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}", EXIT_IO)
-    try:
-        return reader(data)
-    except ModelFormatError as e:
-        raise CliError(str(e), EXIT_IO)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_DOMAIN)
-
-
-def _load_model(path: str) -> FiniteStateModel:
-    return _load(path, read_model)
-
-
-def _format_matrix(mat: np.ndarray, indent: str = "  ") -> str:
+def _print_matrices(*named: tuple[str, np.ndarray]) -> None:
     # 3 significant figures for display; files carry full precision.
-    rows = []
-    for row in mat:
-        rows.append(indent + "  ".join(f"{v:8.3g}" for v in row))
-    return "\n".join(rows)
+    for name, mat in named:
+        print(f"{name}:")
+        for row in mat:
+            print("  " + "  ".join(f"{v:8.3g}" for v in row))
 
 
-def _write_outputs(out_dir: str, manifest: dict, files: dict[str, bytes]) -> None:
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name, data in files.items():
-            (out / name).write_bytes(data)
-        manifest = dict(manifest, outputs=sorted(files))
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    except OSError as e:
-        raise CliError(f"cannot write outputs to {out_dir}: {e}", EXIT_IO)
-
-
-def _manifest(args: argparse.Namespace, command: str, **inputs) -> dict:
-    doc = {"command": command, **inputs}
+def _write_outputs(args: argparse.Namespace, files: dict[str, bytes], **inputs) -> None:
+    """Write ``files`` into ``args.out`` with a manifest of the command's
+    inputs and configuration."""
+    manifest = {"command": args.command, **inputs}
     for key in ("seed", "restarts", "max_iters", "epsilon"):
         if hasattr(args, key):
-            doc[key] = getattr(args, key)
-    return doc
+            manifest[key] = getattr(args, key)
+    manifest["outputs"] = sorted(files)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    (out / "manifest.json").write_bytes(dump_json(manifest))
 
 
 def cmd_validate(args) -> int:
-    p = Path(args.model)
     try:
-        data = p.read_bytes()
-    except OSError as e:
-        print(f"error: cannot read {args.model}: {e}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        read_model(data)
+        read_model(Path(args.model).read_bytes())
     except ModelValidationError as e:
         for v in e.violations:
             print(v)
         return EXIT_DOMAIN
-    except ModelFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
     print(f"{args.model}: valid")
     return EXIT_OK
 
 
 def cmd_map(args) -> int:
-    o0 = _load_model(args.o0)
-    o1 = _load_model(args.o1)
-    try:
-        config = OptimizerConfig(
-            seed=args.seed,
-            restarts=args.restarts,
-            max_iters=args.max_iters,
-            policy=SmoothingPolicy(epsilon=args.epsilon),
-        )
-        result = optimize(o0, o1, config)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_DOMAIN)
-    mapping = result.best_map
-    print("phi:")
-    print(_format_matrix(mapping.phi))
-    print("phi_inv:")
-    print(_format_matrix(mapping.phi_inv))
-    print("phi @ phi_inv:")
-    print(_format_matrix(mapping.phi @ mapping.phi_inv))
-    print("phi_inv @ phi:")
-    print(_format_matrix(mapping.phi_inv @ mapping.phi))
-    print(f"objective total: {result.best_report.total:.6g}")
-    _write_outputs(
-        args.out,
-        _manifest(args, "map", o0=args.o0, o1=args.o1),
-        {
-            "map.json": write_map(mapping),
-            "report.json": result.best_report.to_bytes(),
-        },
+    o0 = read_model(Path(args.o0).read_bytes())
+    o1 = read_model(Path(args.o1).read_bytes())
+    config = OptimizerConfig(
+        seed=args.seed,
+        restarts=args.restarts,
+        max_iters=args.max_iters,
+        policy=SmoothingPolicy(epsilon=args.epsilon),
     )
+    result = optimize(o0, o1, config)
+    mapping = result.best_map
+    _print_matrices(
+        ("phi", mapping.phi),
+        ("phi_inv", mapping.phi_inv),
+        ("phi @ phi_inv", mapping.phi @ mapping.phi_inv),
+        ("phi_inv @ phi", mapping.phi_inv @ mapping.phi),
+    )
+    print(f"objective total: {result.best_report.total:.6g}")
+    files = {"map.json": write_map(mapping), "report.json": result.best_report.to_bytes()}
+    _write_outputs(args, files, o0=args.o0, o1=args.o1)
     return EXIT_OK
 
 
 def cmd_translate(args) -> int:
-    u = _load(args.utility, read_utility)
-    mapping = _load(args.map, read_map)
-    try:
-        translated = translate(u, mapping)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_DOMAIN)
+    u = read_utility(Path(args.utility).read_bytes())
+    mapping = read_map(Path(args.map).read_bytes())
+    translated = translate(u, mapping)
     print("utility:    ", "  ".join(f"{v:.3g}" for v in u.values))
     print("translated: ", "  ".join(f"{v:.3g}" for v in translated.values))
     _write_outputs(
-        args.out,
-        _manifest(args, "translate", utility=args.utility, map=args.map),
-        {"translated.json": write_utility(translated)},
+        args, {"translated.json": write_utility(translated)}, utility=args.utility, map=args.map
     )
     return EXIT_OK
 
 
 def cmd_objective(args) -> int:
-    o0 = _load_model(args.o0)
-    o1 = _load_model(args.o1)
-    mapping = _load(args.map, read_map)
-    try:
-        report = evaluate(o0, o1, mapping, SmoothingPolicy(epsilon=args.epsilon))
-    except ValueError as e:
-        raise CliError(str(e), EXIT_DOMAIN)
+    o0 = read_model(Path(args.o0).read_bytes())
+    o1 = read_model(Path(args.o1).read_bytes())
+    mapping = read_map(Path(args.map).read_bytes())
+    report = evaluate(o0, o1, mapping, SmoothingPolicy(epsilon=args.epsilon))
     for x, v in report.forward_transition_terms.items():
         print(f"forward transition {x}: {v:.6g}")
     print(f"forward output: {report.forward_output_term:.6g}")
@@ -175,36 +118,23 @@ def cmd_objective(args) -> int:
 
 
 def cmd_corridor(args) -> int:
-    try:
-        model = build_corridor(CorridorSpec(length=args.length))
-    except ValueError as e:
-        raise CliError(str(e), EXIT_DOMAIN)
-    data = write_model(model)
+    data = write_model(build_corridor(CorridorSpec(length=args.length)))
     if args.out_file:
-        try:
-            Path(args.out_file).write_bytes(data)
-        except OSError as e:
-            raise CliError(f"cannot write {args.out_file}: {e}", EXIT_IO)
+        Path(args.out_file).write_bytes(data)
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.write(str(data, "utf-8"))
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     from .oracle import oracle_search
 
-    o0 = _load_model(args.o0)
-    o1 = _load_model(args.o1)
-    try:
-        mapping, total = oracle_search(
-            o0, o1, resolution=args.resolution, policy=SmoothingPolicy(epsilon=args.epsilon)
-        )
-    except ValueError as e:
-        raise CliError(str(e), EXIT_DOMAIN)
-    print("phi:")
-    print(_format_matrix(mapping.phi))
-    print("phi_inv:")
-    print(_format_matrix(mapping.phi_inv))
+    o0 = read_model(Path(args.o0).read_bytes())
+    o1 = read_model(Path(args.o1).read_bytes())
+    mapping, total = oracle_search(
+        o0, o1, resolution=args.resolution, policy=SmoothingPolicy(epsilon=args.epsilon)
+    )
+    _print_matrices(("phi", mapping.phi), ("phi_inv", mapping.phi_inv))
     print(f"oracle total: {total:.6g}")
     return EXIT_OK
 
@@ -262,9 +192,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return EXIT_IO if isinstance(e, (OSError, ModelFormatError)) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

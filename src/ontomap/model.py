@@ -181,11 +181,45 @@ def _renormalize_columns(mat: np.ndarray) -> np.ndarray:
 def _matrix_from_rows(rows, shape: tuple[int, int], name: str) -> np.ndarray:
     try:
         mat = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"{name}: not a numeric matrix ({e})") from None
     if mat.shape != shape:
         raise ModelFormatError(f"{name}: shape {mat.shape} does not match declared sizes {shape}")
     return mat
+
+
+def load_json(source, what: str):
+    """Parse one JSON object from bytes, text or a readable stream.
+
+    With ``dump_json`` the one home of the file format: bytes that are not
+    UTF-8, JSON that does not parse and a non-object all raise
+    ModelFormatError naming ``what``.
+    """
+    if hasattr(source, "read"):
+        source = source.read()
+    try:
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+        doc = json.loads(source)
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors.
+    except (ValueError, RecursionError) as e:
+        raise ModelFormatError(f"malformed {what} file: {e}") from None
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"malformed {what} file: not a JSON object")
+    return doc
+
+
+def dump_json(doc) -> bytes:
+    """The one file encoding: UTF-8 JSON, indent 2, one trailing newline."""
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def _json_int(doc: dict, key: str) -> int:
+    """``doc[key]`` if it is a JSON integer (a bool is not)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def read_model(source) -> FiniteStateModel:
@@ -196,22 +230,17 @@ def read_model(source) -> FiniteStateModel:
     sum to 1 within 1e-9, then renormalized exactly so downstream math sees
     exact simplex points.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    doc = load_json(source, "model")
     try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"malformed model file: {e}") from None
-    try:
-        n = int(doc["states"])
+        n = _json_int(doc, "states")
         motor = Alphabet(tuple(doc["motor"]))
         sensor = Alphabet(tuple(doc["sensor"]))
         raw_trans = doc["transitions"]
         raw_out = doc["output"]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ModelFormatError(f"missing or malformed field: {e}") from None
+    if not isinstance(raw_trans, dict):
+        raise ModelFormatError("'transitions' must be a JSON object keyed by motor symbol")
     if set(raw_trans) != set(motor.symbols):
         raise ModelFormatError(
             f"transition keys {sorted(raw_trans)} do not match motor alphabet {list(motor)}"
@@ -240,4 +269,4 @@ def write_model(model: FiniteStateModel) -> bytes:
         "transitions": {x: model.transitions[x].tolist() for x in model.motor},
         "output": model.output.tolist(),
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return dump_json(doc)

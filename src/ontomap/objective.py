@@ -14,7 +14,6 @@ side only: A0 @ phi against A1, and A1 @ phi_inv against A0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .divergence import DEFAULT_POLICY, SmoothingPolicy, _kl_entries, _smooth
 from .divergence import kl_columns  # noqa: F401  (perfbench/spans.py wraps it here)
-from .model import FiniteStateModel, ModelFormatError, ModelValidationError
+from .model import FiniteStateModel, ModelFormatError, ModelValidationError, dump_json, load_json
 from .model import column_violations, validate_model
 
 
@@ -96,27 +95,22 @@ class ObjectiveReport:
         }
 
     def to_bytes(self) -> bytes:
-        return (json.dumps(self.to_dict(), indent=2) + "\n").encode("utf-8")
+        return dump_json(self.to_dict())
 
 
 def read_map(source) -> OntologyMap:
     """Parse a map file: JSON with row-major ``phi`` and ``phi_inv``."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    doc = load_json(source, "map")
     try:
-        doc = json.loads(source)
         phi = np.asarray(doc["phi"], dtype=float)
         phi_inv = np.asarray(doc["phi_inv"], dtype=float)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"malformed map file: {e}") from None
     return OntologyMap(phi=phi, phi_inv=phi_inv)
 
 
 def write_map(mapping: OntologyMap) -> bytes:
-    doc = {"phi": mapping.phi.tolist(), "phi_inv": mapping.phi_inv.tolist()}
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return dump_json({"phi": mapping.phi.tolist(), "phi_inv": mapping.phi_inv.tolist()})
 
 
 def _check_pair(o0: FiniteStateModel, o1: FiniteStateModel) -> None:
@@ -126,6 +120,13 @@ def _check_pair(o0: FiniteStateModel, o1: FiniteStateModel) -> None:
         violations = validate_model(m)
         if violations:
             raise ValueError(f"{name} is not a valid model: {violations[0]}")
+
+
+def _check_map_shape(o0: FiniteStateModel, o1: FiniteStateModel, mapping: OntologyMap) -> None:
+    if mapping.n0 != o0.n or mapping.n1 != o1.n:
+        raise ValueError(
+            f"map shape ({mapping.n0}, {mapping.n1}) does not match models ({o0.n}, {o1.n})"
+        )
 
 
 # Cap on the float64 entries of one stacked approximation: 16 384 entries
@@ -222,8 +223,5 @@ def evaluate(
 ) -> ObjectiveReport:
     """Evaluate the bisimulation objective; deterministic for fixed inputs."""
     _check_pair(o0, o1)
-    if mapping.n0 != o0.n or mapping.n1 != o1.n:
-        raise ValueError(
-            f"map shape ({mapping.n0}, {mapping.n1}) does not match models ({o0.n}, {o1.n})"
-        )
+    _check_map_shape(o0, o1, mapping)
     return PairObjective(o0, o1, policy.epsilon).report(mapping.phi, mapping.phi_inv)

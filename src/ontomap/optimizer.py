@@ -18,7 +18,7 @@ import numpy as np
 
 from .divergence import DEFAULT_POLICY, SmoothingPolicy
 from .model import FiniteStateModel
-from .objective import ObjectiveReport, OntologyMap, PairObjective, _check_pair
+from .objective import ObjectiveReport, OntologyMap, PairObjective, _check_map_shape, _check_pair
 from .objective import evaluate  # noqa: F401  (perfbench/spans.py wraps it here)
 
 INITIAL_STEP = 0.5
@@ -157,10 +157,7 @@ def hill_climb(
     accepted totals is strictly decreasing. Trusts its models: ``optimize``
     is the validated entry point.
     """
-    if start.n0 != o0.n or start.n1 != o1.n:
-        raise ValueError(
-            f"map shape ({start.n0}, {start.n1}) does not match models ({o0.n}, {o1.n})"
-        )
+    _check_map_shape(o0, o1, start)
     objective = PairObjective(o0, o1, config.policy.epsilon)
     [(phi, phi_inv, _, iters)] = _climb(objective, [start], [rng], config.max_iters)
     result = OntologyMap(phi=phi, phi_inv=phi_inv)

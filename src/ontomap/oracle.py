@@ -7,6 +7,7 @@ Only feasible for tiny instances; the free-parameter cap keeps it honest.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -16,6 +17,9 @@ from .model import FiniteStateModel
 from .objective import OntologyMap, PairObjective, _check_pair
 
 MAX_FREE_PARAMETERS = 6
+# Cap on the map pairs of one grid; at the default resolution 0.05 the
+# largest instance within MAX_FREE_PARAMETERS (1 and 7 states) has 230 230.
+MAX_GRID_POINTS = 10**7
 
 
 def free_parameters(n0: int, n1: int) -> int:
@@ -26,10 +30,24 @@ def _grid_steps(resolution: float) -> int:
     """Grid steps per unit of mass; the resolution must divide 1."""
     if not 0.0 < resolution <= 1.0:
         raise ValueError(f"resolution must be in (0, 1], got {resolution!r}")
+    if 1.0 / resolution == math.inf:
+        raise ValueError(f"resolution {resolution!r} is too fine to count its grid steps")
     steps = round(1.0 / resolution)
     if abs(1.0 / resolution - steps) > 1e-9:
         raise ValueError(f"resolution must divide 1, got {resolution!r}")
     return steps
+
+
+def _grid(n0: int, n1: int, resolution: float) -> tuple[int, int, int]:
+    """(steps, phi grid points, phi_inv grid points) of the grid of
+    (n0, n1) map pairs, counted before anything is enumerated; the grid
+    may hold at most MAX_GRID_POINTS map pairs."""
+    steps = _grid_steps(resolution)
+    n_phi = math.comb(steps + n0 - 1, n0 - 1) ** n1
+    n_inv = math.comb(steps + n1 - 1, n1 - 1) ** n0
+    if n_phi * n_inv > MAX_GRID_POINTS:
+        raise ValueError(f"resolution {resolution!r} gives more than {MAX_GRID_POINTS} grid points")
+    return steps, n_phi, n_inv
 
 
 def _grid_columns(dim: int, steps: int) -> np.ndarray:
@@ -68,11 +86,10 @@ def oracle_search(
             f"instance has {free_parameters(n0, n1)} free parameters; "
             f"oracle is capped at {MAX_FREE_PARAMETERS}"
         )
-    steps = _grid_steps(resolution)
+    steps, n_phi, n_inv = _grid(n0, n1, resolution)
+    n_points = n_phi * n_inv
     phi_cols = _grid_columns(n0, steps)
     phi_inv_cols = _grid_columns(n1, steps)
-    n_inv = len(phi_inv_cols) ** n0
-    n_points = len(phi_cols) ** n1 * n_inv
     objective = PairObjective(o0, o1, policy.epsilon)
     best_total = np.inf
     best = None

@@ -7,12 +7,11 @@ j is the phi-column-j-weighted average of the original utilities.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelFormatError
+from .model import ModelFormatError, _json_int, dump_json, load_json
 from .objective import OntologyMap
 
 
@@ -43,15 +42,11 @@ def translate(u: UtilityVector, mapping: OntologyMap) -> UtilityVector:
 
 
 def read_utility(source) -> UtilityVector:
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    doc = load_json(source, "utility")
     try:
-        doc = json.loads(source)
-        n = int(doc["model_states"])
+        n = _json_int(doc, "model_states")
         values = [float(v) for v in doc["values"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"malformed utility file: {e}") from None
     if len(values) != n:
         raise ModelFormatError(
@@ -61,5 +56,4 @@ def read_utility(source) -> UtilityVector:
 
 
 def write_utility(u: UtilityVector) -> bytes:
-    doc = {"model_states": len(u), "values": u.values.tolist()}
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return dump_json({"model_states": len(u), "values": u.values.tolist()})

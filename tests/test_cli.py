@@ -155,7 +155,7 @@ def test_oracle_command(tmp_path, capsys):
         "translate {utility_nan} {map}",
         "translate {utility_inf} {map}",
     ]
-    + [f"oracle {{c2}} {{c2}} --resolution {r}" for r in ("0", "-0.5", "0.3", "3", "inf", "nan")],
+    + [f"oracle {{c2}} {{c2}} --resolution {r}" for r in ("0", "-0.5", "0.3", "3", "inf", "nan", "1e-300")],
 )
 def test_bad_input_exits_1(argv, corridor_files, tmp_path, capsys):
     p4, p5 = corridor_files
@@ -179,3 +179,42 @@ def test_bad_input_exits_1(argv, corridor_files, tmp_path, capsys):
         args += ["--out", str(tmp_path / "run")]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        cmd.replace("{bad}", "{%s}" % kind)
+        for cmd in ("validate {bad}", "objective {c4} {c5} {bad}", "translate {bad} {map}", "map {bad} {c5}")
+        for kind in ("missing", "directory", "malformed", "non_utf8")
+    ]
+    + [
+        "validate {transitions_list}",
+        "map {transitions_list} {c5}",
+        "validate {states_2_7}",
+        "map {c2} {c2} --restarts 1 --max-iters 3 --out {c2}/sub",
+        "corridor --length 3 --out /nonexistent/x.json",
+    ],
+)
+def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
+    p4, p5 = corridor_files
+    c2 = write_model(build_corridor(CorridorSpec(2)))
+    doc = json.loads(c2)
+    files = {
+        "c2": c2,
+        "map": write_map(published_corridor_map()),
+        "malformed": b"{ not json",
+        "non_utf8": b'{"states": 4, "motor": ["\xff"]}',
+        "transitions_list": json.dumps(dict(doc, transitions=["L", "R"])).encode(),
+        "states_2_7": json.dumps(dict(doc, states=2.7)).encode(),
+    }
+    paths = {"c4": p4, "c5": p5, "missing": tmp_path / "missing.json", "directory": tmp_path}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(data)
+    args = [a.format(**paths) for a in argv.split()]
+    if args[0] in ("map", "translate") and "--out" not in args:
+        args += ["--out", str(tmp_path / "run")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -146,9 +146,22 @@ def test_read_rejects_nonstochastic(corridor4):
     assert any("T^L column 1" in v for v in exc.value.violations)
 
 
-def test_read_rejects_malformed():
-    with pytest.raises(ModelFormatError):
-        read_model(b"not json {")
+def test_read_rejects_malformed(corridor4):
+    import json
+
+    doc = json.loads(write_model(corridor4))
+    for bad in (
+        b"not json {",
+        b'{"states": 4, "motor": ["\xff"]}',  # not UTF-8
+        b"[1, 2]",
+        json.dumps(dict(doc, transitions=["L", "R"])),
+        json.dumps(dict(doc, motor=["L"], transitions=["LR"])),  # dict() would read {"L": "R"}
+        json.dumps(dict(doc, states=2.7)),
+        json.dumps(dict(doc, states=True)),
+        "[" * 100000,
+    ):
+        with pytest.raises(ModelFormatError):
+            read_model(bad)
 
 
 def test_read_rejects_dimension_mismatch(corridor4):

@@ -9,7 +9,8 @@ from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import DEFAULT_POLICY
 from ontomap.model import Alphabet, FiniteStateModel
 from ontomap.objective import OntologyMap, PairObjective
-from ontomap.oracle import _grid_columns, _grid_steps, free_parameters, grid_step_variation, oracle_search
+from ontomap.oracle import MAX_FREE_PARAMETERS, MAX_GRID_POINTS, _grid, _grid_columns, _grid_steps
+from ontomap.oracle import free_parameters, grid_step_variation, oracle_search
 
 
 def one_state_model():
@@ -36,6 +37,34 @@ def test_resolution_must_divide_one():
     identity = OntologyMap(phi=[[1.0]], phi_inv=[[1.0]])
     with pytest.raises(ValueError):
         grid_step_variation(m, m, identity, resolution=0.3)
+
+
+def test_grid_point_cap():
+    # Every instance within the free-parameter cap fits at the default
+    # resolution; the largest (1 and 7 states) has 230 230 map pairs.
+    sizes = [
+        _grid(n0, n1, 0.05)
+        for n0 in range(1, 8)
+        for n1 in range(1, 8)
+        if free_parameters(n0, n1) <= MAX_FREE_PARAMETERS
+    ]
+    assert max(n_phi * n_inv for _, n_phi, n_inv in sizes) == 230230
+    assert len(_grid_columns(7, 4)) == _grid(7, 1, 0.25)[1]
+    # Rejected from the counts alone, before any grid is built.
+    m = build_corridor(CorridorSpec(2))
+    identity = OntologyMap(phi=np.eye(2), phi_inv=np.eye(2))
+    assert MAX_GRID_POINTS < 101**4
+    for resolution in (0.01, 1e-300, 5e-324):
+        with pytest.raises(ValueError):
+            oracle_search(m, m, resolution=resolution)
+    # grid_step_variation builds no grid, so only an uncountable
+    # resolution is rejected; pairs far past the grid cap still score.
+    with pytest.raises(ValueError):
+        grid_step_variation(m, m, identity, resolution=5e-324)
+    assert grid_step_variation(m, m, identity, resolution=0.01) >= 0.0
+    c4, c5 = build_corridor(CorridorSpec(4)), build_corridor(CorridorSpec(5))
+    uniform = OntologyMap(phi=np.full((4, 5), 0.25), phi_inv=np.full((5, 4), 0.2))
+    assert grid_step_variation(c4, c5, uniform) > 0.0
 
 
 def test_step_variation_rejects_mismatched_alphabets():

@@ -49,6 +49,20 @@ def test_read_utility_length_mismatch():
         read_utility(b'{"model_states": 3, "values": [1.0, 2.0]}')
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"model_states": 2.0, "values": [1.0, 2.0]}',
+        b'{"model_states": true, "values": [1.0]}',
+        b'{"model_states": 1, "values": [1.0], "note": "\xff"}',
+        b"[1.0, 2.0]",
+    ],
+)
+def test_read_utility_rejects_malformed(data):
+    with pytest.raises(ModelFormatError):
+        read_utility(data)
+
+
 def _random_map(rng, n0, n1):
     phi = rng.standard_exponential((n0, n1))
     phi_inv = rng.standard_exponential((n1, n0))
