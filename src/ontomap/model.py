@@ -178,12 +178,21 @@ def _renormalize_columns(mat: np.ndarray) -> np.ndarray:
     return mat / mat.sum(axis=0, keepdims=True)
 
 
-def _matrix_from_rows(rows, shape: tuple[int, int], name: str) -> np.ndarray:
+def _json_numbers(values) -> bool:
+    """Whether ``values`` is a JSON list of numbers (strings and booleans
+    are not numbers; NaN is, and is left to validation)."""
+    return isinstance(values, list) and set(map(type, values)) <= {int, float}
+
+
+def _matrix_from_rows(rows, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """A JSON list of rows of numbers as a float matrix, of ``shape`` if given."""
+    if not (isinstance(rows, list) and all(map(_json_numbers, rows))):
+        raise ModelFormatError(f"{name}: not a list of rows of JSON numbers")
     try:
         mat = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError) as e:
+    except (ValueError, OverflowError) as e:
         raise ModelFormatError(f"{name}: not a numeric matrix ({e})") from None
-    if mat.shape != shape:
+    if shape is not None and mat.shape != shape:
         raise ModelFormatError(f"{name}: shape {mat.shape} does not match declared sizes {shape}")
     return mat
 
@@ -222,6 +231,14 @@ def _json_int(doc: dict, key: str) -> int:
     return value
 
 
+def _json_strings(doc: dict, key: str) -> tuple[str, ...]:
+    """``doc[key]`` if it is a JSON list of strings."""
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise TypeError(f"{key!r} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def read_model(source) -> FiniteStateModel:
     """Parse a model file (bytes, text, or readable stream).
 
@@ -233,8 +250,8 @@ def read_model(source) -> FiniteStateModel:
     doc = load_json(source, "model")
     try:
         n = _json_int(doc, "states")
-        motor = Alphabet(tuple(doc["motor"]))
-        sensor = Alphabet(tuple(doc["sensor"]))
+        motor = Alphabet(_json_strings(doc, "motor"))
+        sensor = Alphabet(_json_strings(doc, "sensor"))
         raw_trans = doc["transitions"]
         raw_out = doc["output"]
     except (KeyError, TypeError, ValueError) as e:
@@ -245,8 +262,8 @@ def read_model(source) -> FiniteStateModel:
         raise ModelFormatError(
             f"transition keys {sorted(raw_trans)} do not match motor alphabet {list(motor)}"
         )
-    transitions = {x: _matrix_from_rows(raw_trans[x], (n, n), f"T^{x}") for x in motor}
-    output = _matrix_from_rows(raw_out, (len(sensor), n), "A")
+    transitions = {x: _matrix_from_rows(raw_trans[x], f"T^{x}", (n, n)) for x in motor}
+    output = _matrix_from_rows(raw_out, "A", (len(sensor), n))
     model = FiniteStateModel(n=n, motor=motor, sensor=sensor, transitions=transitions, output=output)
     violations = validate_model(model)
     if violations:

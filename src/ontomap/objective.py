@@ -14,15 +14,14 @@ side only: A0 @ phi against A1, and A1 @ phi_inv against A0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DEFAULT_POLICY, SmoothingPolicy, _kl_entries, _smooth
+from .divergence import DEFAULT_POLICY, SmoothingPolicy, _fsums, _kl_entries, _segments, _smooth
 from .divergence import kl_columns  # noqa: F401  (perfbench/spans.py wraps it here)
 from .model import FiniteStateModel, ModelFormatError, ModelValidationError, dump_json, load_json
-from .model import column_violations, validate_model
+from .model import _matrix_from_rows, column_violations, validate_model
 
 
 @dataclass(frozen=True)
@@ -102,11 +101,10 @@ def read_map(source) -> OntologyMap:
     """Parse a map file: JSON with row-major ``phi`` and ``phi_inv``."""
     doc = load_json(source, "map")
     try:
-        phi = np.asarray(doc["phi"], dtype=float)
-        phi_inv = np.asarray(doc["phi_inv"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ModelFormatError(f"malformed map file: {e}") from None
-    return OntologyMap(phi=phi, phi_inv=phi_inv)
+        phi, phi_inv = doc["phi"], doc["phi_inv"]
+    except KeyError as e:
+        raise ModelFormatError(f"malformed map file: missing {e}") from None
+    return OntologyMap(phi=_matrix_from_rows(phi, "phi"), phi_inv=_matrix_from_rows(phi_inv, "phi_inv"))
 
 
 def write_map(mapping: OntologyMap) -> bytes:
@@ -158,8 +156,7 @@ class PairObjective:
         # As a row, so that one map pair's entries need no broadcasting.
         self.p = np.concatenate([p[mask] for p, mask in zip(trues, masks)])[None]
         self.index = np.flatnonzero(np.concatenate(masks, axis=None))
-        stops = np.cumsum(np.concatenate([np.count_nonzero(mask, axis=(1, 2)) for mask in masks]))
-        self.slices = list(zip([0] + stops[:-1].tolist(), stops.tolist()))
+        self.segments = _segments(np.concatenate([np.count_nonzero(mask, axis=(1, 2)) for mask in masks]))
         entries = sum(mask.size for mask in masks)
         #: Map pairs per ``totals`` call that keep it within MAX_STACK_ENTRIES.
         self.batch = max(1, MAX_STACK_ENTRIES // entries)
@@ -178,15 +175,18 @@ class PairObjective:
             ),
             axis=1,
         ).take(self.index, axis=1)
-        # math.fsum reads a memoryview's floats without building a list.
-        return [
-            [math.fsum(row[a:b]) for a, b in self.slices]
-            for row in map(memoryview, _kl_entries(self.p, q))
-        ]
+        return _fsums(_kl_entries(self.p, q), self.segments)
 
     def _sum(self, terms: list[float]) -> float:
+        # Left-to-right adds from 0.0 on every Python version: the builtin
+        # sum compensates its rounding from 3.12 on.
         m = len(self.motor)
-        return sum(terms[:m]) + terms[m] + sum(terms[m + 1 : 2 * m + 1]) + terms[2 * m + 1]
+        forward = backward = 0.0
+        for t in terms[:m]:
+            forward += t
+        for t in terms[m + 1 : 2 * m + 1]:
+            backward += t
+        return forward + terms[m] + backward + terms[2 * m + 1]
 
     def totals(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[float]:
         """The objective at each map pair of stacks (R, n0, n1) and

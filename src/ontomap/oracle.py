@@ -8,7 +8,7 @@ Only feasible for tiny instances; the free-parameter cap keeps it honest.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations
 
 import numpy as np
 
@@ -52,13 +52,13 @@ def _grid(n0: int, n1: int, resolution: float) -> tuple[int, int, int]:
 
 def _grid_columns(dim: int, steps: int) -> np.ndarray:
     """All probability vectors of the given dimension whose entries are
-    multiples of 1/steps, one per row."""
-    cols = []
-    for combo in product(range(steps + 1), repeat=dim - 1):
-        rest = steps - sum(combo)
-        if rest >= 0:
-            cols.append(np.array(combo + (rest,), dtype=float) / steps)
-    return np.array(cols)
+    multiples of 1/steps, one per row, in lexicographic order."""
+    # Stars and bars: dim - 1 bars among steps + dim - 1 slots, in
+    # lexicographic order, give every composition of steps into dim parts
+    # in lexicographic order.
+    bars = list(combinations(range(steps + dim - 1), dim - 1))
+    bars = np.array(bars, dtype=np.intp).reshape(len(bars), dim - 1)
+    return (np.diff(bars, axis=1, prepend=-1, append=steps + dim - 1) - 1) / steps
 
 
 def _grid_maps(cols: np.ndarray, n_cols: int, choices: np.ndarray) -> np.ndarray:

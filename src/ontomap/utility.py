@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelFormatError, _json_int, dump_json, load_json
+from .model import ModelFormatError, _json_int, _json_numbers, dump_json, load_json
 from .objective import OntologyMap
 
 
@@ -45,8 +45,11 @@ def read_utility(source) -> UtilityVector:
     doc = load_json(source, "utility")
     try:
         n = _json_int(doc, "model_states")
-        values = [float(v) for v in doc["values"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        values = doc["values"]
+        if not _json_numbers(values):
+            raise TypeError(f"'values' must be a list of numbers, got {values!r}")
+        values = [float(v) for v in values]
+    except (KeyError, TypeError, OverflowError) as e:
         raise ModelFormatError(f"malformed utility file: {e}") from None
     if len(values) != n:
         raise ModelFormatError(

@@ -154,6 +154,9 @@ def test_oracle_command(tmp_path, capsys):
         "translate {goal} {map_sum_09}",
         "translate {utility_nan} {map}",
         "translate {utility_inf} {map}",
+        # NaN is a JSON number to the readers and fails validation.
+        "map {model_nan} {c5}",
+        "objective {c4} {c5} {map_nan}",
     ]
     + [f"oracle {{c2}} {{c2}} --resolution {r}" for r in ("0", "-0.5", "0.3", "3", "inf", "nan", "1e-300")],
 )
@@ -171,8 +174,12 @@ def test_bad_input_exits_1(argv, corridor_files, tmp_path, capsys):
     (tmp_path / "goal.json").write_bytes(write_utility(UtilityVector([0, 0, 0, 1])))
     (tmp_path / "utility_nan.json").write_text('{"model_states": 4, "values": [0, NaN, 0, 1]}')
     (tmp_path / "utility_inf.json").write_text('{"model_states": 4, "values": [0, 1e999, 0, 1]}')
+    (tmp_path / "model_nan.json").write_text(p4.read_text().replace("1.0", "NaN", 1))
+    (tmp_path / "map_nan.json").write_text(
+        json.dumps({"phi": phi.tolist(), "phi_inv": published.phi_inv.tolist()}).replace("0.9", "NaN", 1)
+    )
     paths = {"c2": p2, "c4": p4, "c5": p5}
-    for name in ("map", "map_sum_09", "goal", "utility_nan", "utility_inf"):
+    for name in ("map", "map_sum_09", "goal", "utility_nan", "utility_inf", "model_nan", "map_nan"):
         paths[name] = tmp_path / f"{name}.json"
     args = [a.format(**paths) for a in argv.split()]
     if args[0] in ("map", "translate"):
@@ -192,6 +199,10 @@ def test_bad_input_exits_1(argv, corridor_files, tmp_path, capsys):
         "validate {transitions_list}",
         "map {transitions_list} {c5}",
         "validate {states_2_7}",
+        "validate {motor_string}",
+        "map {numeric_strings} {c2}",
+        "objective {c4} {c5} {map_strings}",
+        "translate {utility_bool} {map}",
         "map {c2} {c2} --restarts 1 --max-iters 3 --out {c2}/sub",
         "corridor --length 3 --out /nonexistent/x.json",
     ],
@@ -207,6 +218,13 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
         "non_utf8": b'{"states": 4, "motor": ["\xff"]}',
         "transitions_list": json.dumps(dict(doc, transitions=["L", "R"])).encode(),
         "states_2_7": json.dumps(dict(doc, states=2.7)).encode(),
+        "motor_string": json.dumps(dict(doc, motor="LR")).encode(),
+        "numeric_strings": json.dumps(dict(doc, output=[[str(v) for v in row] for row in doc["output"]])).encode(),
+        "map_strings": json.dumps(
+            {"phi": [[str(v) for v in row] for row in published_corridor_map().phi.tolist()],
+             "phi_inv": published_corridor_map().phi_inv.tolist()}
+        ).encode(),
+        "utility_bool": b'{"model_states": 4, "values": [0, 0, 0, true]}',
     }
     paths = {"c4": p4, "c5": p5, "missing": tmp_path / "missing.json", "directory": tmp_path}
     for name, data in files.items():

@@ -159,6 +159,12 @@ def test_read_rejects_malformed(corridor4):
         json.dumps(dict(doc, states=2.7)),
         json.dumps(dict(doc, states=True)),
         "[" * 100000,
+        json.dumps(dict(doc, motor="LR")),  # tuple() would read ("L", "R")
+        json.dumps(dict(doc, sensor="abc")),
+        json.dumps(dict(doc, motor=[0, 1], transitions={"0": doc["transitions"]["L"], "1": doc["transitions"]["R"]})),
+        json.dumps(dict(doc, transitions=dict(doc["transitions"], L=[[str(v) for v in row] for row in doc["transitions"]["L"]]))),
+        json.dumps(dict(doc, output=[[v == 1.0 or v for v in row] for row in doc["output"]])),  # true for 1.0
+        json.dumps(dict(doc, output=[1.0] * len(doc["output"]))),
     ):
         with pytest.raises(ModelFormatError):
             read_model(bad)

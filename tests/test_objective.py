@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import permuted_copy, published_corridor_map, random_model, reference_terms
+from conftest import left_sum, permuted_copy, published_corridor_map, random_model, reference_terms
 from ontomap.model import Alphabet, FiniteStateModel
 from ontomap.objective import OntologyMap, PairObjective, evaluate, read_map, write_map
 
@@ -182,15 +182,22 @@ def _alphabets(motor, sensor):
     return Alphabet(tuple(f"x{i}" for i in range(motor))), Alphabet(tuple(f"s{i}" for i in range(sensor)))
 
 
+# Small pairs take the fsum loop, large ones (above FSUM_LOOP_MAX_ENTRIES
+# positive true-side entries) the vectorised extraction.
+_PAIR_STATES = st.one_of(st.integers(1, 8), st.integers(48, 64))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n0=st.integers(1, 8),
-    n1=st.integers(1, 8),
+    n0=_PAIR_STATES,
+    n1=_PAIR_STATES,
     motor=st.integers(1, 3),
     sensor=st.integers(1, 4),
     epsilon=st.sampled_from([1e-9, 1e-6, 1e-3]),
 )
+@example(seed=0, n0=64, n1=48, motor=2, sensor=3, epsilon=1e-9)
+@example(seed=1, n0=5, n1=60, motor=3, sensor=1, epsilon=1e-3)
 def test_kernel_equals_kl_columns_exactly(seed, n0, n1, motor, sensor, epsilon):
     rng = np.random.default_rng(seed)
     mot, sen = _alphabets(motor, sensor)
@@ -202,7 +209,7 @@ def test_kernel_equals_kl_columns_exactly(seed, n0, n1, motor, sensor, epsilon):
     assert kernel.terms(phi, phi_inv) == want
     fwd, fwd_out = want[:motor], want[motor]
     bwd, bwd_out = want[motor + 1 : 2 * motor + 1], want[2 * motor + 1]
-    assert kernel.total(phi, phi_inv) == sum(fwd) + fwd_out + sum(bwd) + bwd_out
+    assert kernel.total(phi, phi_inv) == left_sum(fwd) + fwd_out + left_sum(bwd) + bwd_out
     report = kernel.report(phi, phi_inv)
     assert report.terms() == want
     assert report.total == kernel.total(phi, phi_inv)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model, reference_terms
+from conftest import left_sum, random_model, reference_terms
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import SmoothingPolicy
 from ontomap.model import Alphabet, FiniteStateModel
@@ -110,7 +110,7 @@ def test_hill_climb_matches_reference_objective(corridor4, corridor5, monkeypatc
         out = []
         for p, p_inv in zip(phi, phi_inv):
             t = reference_terms(corridor4, corridor5, p, p_inv, self.epsilon)
-            out.append(sum(t[:m]) + t[m] + sum(t[m + 1 : 2 * m + 1]) + t[2 * m + 1])
+            out.append(left_sum(t[:m]) + t[m] + left_sum(t[m + 1 : 2 * m + 1]) + t[2 * m + 1])
         return out
 
     monkeypatch.setattr(PairObjective, "totals", reference_totals)

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -29,6 +30,34 @@ def test_grid_columns_cover_simplex():
     assert all(abs(c.sum() - 1.0) < 1e-12 for c in cols)
     cols3 = _grid_columns(3, 4)
     assert len(cols3) == 15  # compositions of 4 into 3 parts
+
+
+def _filtered_product(dim, steps):
+    """The grid columns as the product of per-entry steps, filtered to the
+    simplex: (steps + 1) ** (dim - 1) tuples for the ones kept."""
+    kept = []
+    for combo in product(range(steps + 1), repeat=dim - 1):
+        rest = steps - sum(combo)
+        if rest >= 0:
+            kept.append(combo + (rest,))
+    return np.array(kept, dtype=float) / steps
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_grid_columns_match_filtered_product(dim):
+    for steps in range(1, 21):
+        cols = _grid_columns(dim, steps)
+        # Every composition of steps into dim parts, once each, in strictly
+        # increasing lexicographic order: the filtered product's rows.
+        parts = np.rint(cols * steps).astype(int)
+        assert cols.shape == (math.comb(steps + dim - 1, dim - 1), dim)
+        assert (parts >= 0).all() and (parts.sum(axis=1) == steps).all()
+        assert np.array_equal(parts / steps, cols)
+        diff = np.diff(parts, axis=0)
+        first = np.argmax(diff != 0, axis=1)
+        assert (diff[np.arange(len(diff)), first] > 0).all()
+        if (steps + 1) ** (dim - 1) <= 10**5:
+            assert cols.tobytes() == _filtered_product(dim, steps).tobytes()
 
 
 def test_resolution_must_divide_one():

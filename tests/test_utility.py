@@ -56,6 +56,9 @@ def test_read_utility_length_mismatch():
         b'{"model_states": true, "values": [1.0]}',
         b'{"model_states": 1, "values": [1.0], "note": "\xff"}',
         b"[1.0, 2.0]",
+        b'{"model_states": 2, "values": ["1.5", true]}',
+        b'{"model_states": 2, "values": "12"}',  # float() would read 1.0, 2.0
+        b'{"model_states": 1, "values": [false]}',
     ],
 )
 def test_read_utility_rejects_malformed(data):
