@@ -158,12 +158,18 @@ class PairObjective:
         self.index = np.flatnonzero(np.concatenate(masks, axis=None))
         self.segments = _segments(np.concatenate([np.count_nonzero(mask, axis=(1, 2)) for mask in masks]))
         entries = sum(mask.size for mask in masks)
-        #: Map pairs per ``totals`` call that keep it within MAX_STACK_ENTRIES.
+        #: Map pairs per ``entries`` call that keep it within MAX_STACK_ENTRIES.
         self.batch = max(1, MAX_STACK_ENTRIES // entries)
+        # k = N + 2m + 2 for N entries per pair and m motor symbols; the
+        # bound in ``float_totals`` holds for k <= 2**25, beyond which every
+        # comparison takes the exact sums.
+        k = self.p.shape[1] + 2 * len(self.motor) + 2
+        self.radius_scale = 2 * k * 2.0**-53 if k <= 2**25 else np.inf
 
-    def _stack_terms(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[list[float]]:
-        """Per-term values of each map pair in stacks of shape (R, n0, n1)
-        and (R, n1, n0)."""
+    def entries(self, phi: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
+        """The KL entries of each map pair in stacks of shape (R, n0, n1) and
+        (R, n1, n0), as an (R, N) matrix: one column per positive true-side
+        entry, in the order of the terms."""
         eps = self.epsilon
         r = len(phi)
         q = np.concatenate(
@@ -175,7 +181,42 @@ class PairObjective:
             ),
             axis=1,
         ).take(self.index, axis=1)
-        return _fsums(_kl_entries(self.p, q), self.segments)
+        return _kl_entries(self.p, q)
+
+    def float_totals(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each row of entries ``x`` (from ``entries``), its float sum
+        ``a`` and a radius ``r`` with |a - c| <= r / 2, where c is exactly
+        what ``exact_totals`` returns for that row.
+
+        Proof, with u = 2**-53, gamma_j = j * u / (1 - j * u), N entries per
+        row, m motor symbols, S the exact sum of a row and s = sum |x_i|:
+
+        * ``a`` is a float sum in some order: |a - S| <= gamma_{N-1} * s.
+          The computed s' of the |x_i| likewise has s <= s' / (1 - gamma_{N-1}).
+        * c adds 2m + 2 correctly rounded term sums t_j with 2m + 1 rounded
+          additions (``_sum``): |t_j - T_j| <= u * |T_j| for each exact term
+          sum T_j, and sum |t_j| <= (1 + u) * s, so
+          |c - S| <= u * s + gamma_{2m+1} * (1 + u) * s <= gamma_{2m+2} * s.
+        * With K = N + 2m + 1, gamma_{N-1} + gamma_{2m+2} <= gamma_K, so
+          |a - c| <= gamma_K * s' / (1 - gamma_{N-1}) <= K * u * s' / (1 - 2 * K * u),
+          which is at most k * u * s' * (1 - u)**2 for k = K + 1 <= 2**25.
+        * r is computed as 2 * k * u * s' (k * u is exact) plus 2**-1069, so
+          r >= 2 * k * u * s' * (1 - u)**2: the product underflows by at
+          most 2**-1075. Half of r bounds |a - c|; the other half covers the
+          rounding of a +- r, since u * |a +- r| <= u * (1.01 * s' + r) is
+          below r / 2 for k >= 2. So the computed a + r is at least c and
+          the computed a - r at most c. Additions, and exact sums of
+          subnormals, round relatively or not at all.
+
+        A non-finite entry makes ``a`` or ``r`` non-finite, so no
+        comparison of the interval [a - r, a + r] can settle.
+        """
+        return x.sum(axis=1), np.abs(x).sum(axis=1) * self.radius_scale + 2.0**-1069
+
+    def exact_totals(self, x: np.ndarray) -> list[float]:
+        """The objective of each row of entries ``x`` (from ``entries``):
+        correctly rounded term sums, added left to right."""
+        return [self._sum(terms) for terms in _fsums(x, self.segments)]
 
     def _sum(self, terms: list[float]) -> float:
         # Left-to-right adds from 0.0 on every Python version: the builtin
@@ -191,12 +232,12 @@ class PairObjective:
     def totals(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[float]:
         """The objective at each map pair of stacks (R, n0, n1) and
         (R, n1, n0); each value equals ``total`` of that pair exactly."""
-        return [self._sum(terms) for terms in self._stack_terms(phi, phi_inv)]
+        return self.exact_totals(self.entries(phi, phi_inv))
 
     def terms(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[float]:
         """Per-term values in report order: forward transition terms,
         forward output, backward transition terms, backward output."""
-        return self._stack_terms(phi[None], phi_inv[None])[0]
+        return _fsums(self.entries(phi[None], phi_inv[None]), self.segments)[0]
 
     def total(self, phi: np.ndarray, phi_inv: np.ndarray) -> float:
         """The objective's value at (phi, phi_inv)."""

@@ -87,15 +87,28 @@ def _climb(
 
     Each restart draws from its rng exactly as a climb on its own would
     (a column, then that column's noise) and keeps its own step, rejection
-    count and stop test; all candidates are scored in one ``totals`` call.
-    Returns (phi, phi_inv, total, iterations) per restart.
+    count and stop test; all candidates are scored in one ``entries`` call.
+    A candidate is accepted when its total is below the current one. The
+    certified intervals of ``float_totals`` settle that comparison when
+    they do not overlap; otherwise both exact totals are taken, the
+    current one from its stored entries. Returns (phi, phi_inv, total,
+    iterations) per restart, with the exact total.
     """
     n0, n1 = starts[0].n0, starts[0].n1
     n_cols = n1 + n0  # phi has n1 columns, phi_inv has n0
     eps = objective.epsilon
     phi = np.stack([s.phi for s in starts])
     phi_inv = np.stack([s.phi_inv for s in starts])
-    current = objective.totals(phi, phi_inv)
+
+    def intervals(x):
+        a, r = objective.float_totals(x)
+        return [(u - v, u + v) for u, v in zip(a.tolist(), r.tolist())]
+
+    # Each restart's current state: its entries, their certified interval
+    # (lo, hi), and its exact total once one has been taken.
+    x = objective.entries(phi, phi_inv)
+    bounds = intervals(x)
+    exact = [None] * len(starts)
     step = [INITIAL_STEP] * len(starts)
     rejections = [0] * len(starts)
     live = list(range(len(starts)))  # restart index of each stack entry
@@ -107,11 +120,13 @@ def _climb(
             if iters < max_iters and s >= MIN_STEP:
                 keep.append(i)
             else:
-                done[live[i]] = (phi[i], phi_inv[i], current[i], iters)
+                if exact[i] is None:
+                    [exact[i]] = objective.exact_totals(x[i : i + 1])
+                done[live[i]] = (phi[i], phi_inv[i], exact[i], iters)
         if len(keep) < len(live):
-            phi, phi_inv = phi[keep], phi_inv[keep]
-            current, step, rejections, live = (
-                [a[i] for i in keep] for a in (current, step, rejections, live)
+            phi, phi_inv, x = phi[keep], phi_inv[keep], x[keep]
+            bounds, exact, step, rejections, live = (
+                [v[i] for i in keep] for v in (bounds, exact, step, rejections, live)
             )
             continue
         iters += 1
@@ -130,9 +145,20 @@ def _climb(
                 for (i, j, _), row, before in zip(batch, new, old):
                     mat[i, :, j] = row
                     undo[i] = (mat, j, before)
-        for i, c in enumerate(objective.totals(phi, phi_inv)):
-            if c < current[i]:
-                current[i] = c
+        x_new = objective.entries(phi, phi_inv)
+        for i, (lo, hi) in enumerate(intervals(x_new)):
+            c = None
+            if hi < bounds[i][0]:
+                better = True
+            elif lo >= bounds[i][1]:
+                better = False
+            else:  # overlapping or non-finite intervals: exact totals decide
+                [c] = objective.exact_totals(x_new[i : i + 1])
+                if exact[i] is None:
+                    [exact[i]] = objective.exact_totals(x[i : i + 1])
+                better = c < exact[i]
+            if better:
+                x[i], bounds[i], exact[i] = x_new[i], (lo, hi), c
                 rejections[i] = 0
                 continue
             mat, j, before = undo[i]

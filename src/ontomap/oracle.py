@@ -77,7 +77,9 @@ def oracle_search(
     """Exhaustive search; returns (best map, best total).
 
     Ties keep the first grid point in enumeration order: phi outer,
-    phi_inv inner, each in ``product`` order of its grid columns.
+    phi_inv inner, each in ``product`` order of its grid columns. Exact
+    totals are taken only where certified intervals cannot rule a point
+    out.
     """
     _check_pair(o0, o1)
     n0, n1 = o0.n, o1.n
@@ -97,10 +99,19 @@ def oracle_search(
         points = np.arange(first, min(first + objective.batch, n_points))
         phi = _grid_maps(phi_cols, n1, points // n_inv)
         phi_inv = _grid_maps(phi_inv_cols, n0, points % n_inv)
-        totals = objective.totals(phi, phi_inv)
+        # Only rows whose certified interval reaches down to the least upper
+        # bound can hold the chunk's first minimum below best_total; a NaN
+        # bound makes every row a candidate, as the exact argmin would see it.
+        x = objective.entries(phi, phi_inv)
+        a, r = objective.float_totals(x)
+        candidates = np.flatnonzero(~(a - r > min((a + r).min(), best_total)))
+        if not len(candidates):
+            continue
+        totals = objective.exact_totals(x[candidates])
         i = int(np.argmin(totals))
         if totals[i] < best_total:
             best_total = totals[i]
+            i = candidates[i]
             best = OntologyMap(phi=phi[i], phi_inv=phi_inv[i])
     return best, best_total
 

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ontomap.divergence
-import ontomap.objective
 from conftest import random_model
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import SmoothingPolicy, _fsums, _segments, kl_columns
 from ontomap.model import Alphabet
+from ontomap.objective import PairObjective
 from ontomap.optimizer import OptimizerConfig, optimize
 from ontomap.oracle import oracle_search
 
@@ -162,22 +162,26 @@ def test_fsums_equal_math_fsum_bitwise(seed, rows, lengths, families):
 
 
 def test_extraction_rarely_falls_back(monkeypatch):
-    # Certified segments need no math.fsum call; on the oracle's grid maps
-    # and on a dense 16x32 climb at most 1 % of segments may fall back.
+    # Certified segments need no math.fsum call; on the entries of the
+    # oracle's grid maps and of a dense 16x32 climb at most 1 % of segments
+    # may fall back. The oracle and the climber sum few rows exactly, so
+    # every stack they score is summed here.
     count = {"segments": 0, "fallbacks": 0}
-    real_fsums, real_fsum = _fsums, math.fsum
-
-    def counting_fsums(x, seg):
-        count["segments"] += x.shape[0] * len(seg.slices)
-        return real_fsums(x, seg)
+    real_entries, real_fsum = PairObjective.entries, math.fsum
 
     def counting_fsum(values):
         count["fallbacks"] += 1
         return real_fsum(values)
 
+    def summing_entries(self, phi, phi_inv):
+        x = real_entries(self, phi, phi_inv)
+        count["segments"] += x.shape[0] * len(self.segments.slices)
+        with mock.patch.object(math, "fsum", counting_fsum):
+            _fsums(x, self.segments)
+        return x
+
     monkeypatch.setattr(ontomap.divergence, "FSUM_LOOP_MAX_ENTRIES", 0)
-    monkeypatch.setattr(ontomap.objective, "_fsums", counting_fsums)
-    monkeypatch.setattr(math, "fsum", counting_fsum)
+    monkeypatch.setattr(PairObjective, "entries", summing_entries)
     c2 = build_corridor(CorridorSpec(2))
     oracle_search(c2, c2, 0.1)
     rng = np.random.default_rng(0)

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -238,3 +241,60 @@ def test_totals_equal_total_exactly(seed, r, n0, n1, motor, sensor, epsilon):
     phi_inv = np.stack([_sparse_stochastic(rng, n1, n0) for _ in range(r)])
     kernel = PairObjective(o0, o1, epsilon)
     assert kernel.totals(phi, phi_inv) == [kernel.total(phi[i], phi_inv[i]) for i in range(r)]
+
+
+def _entry_rows(rng, family: str, rows: int, n: int) -> np.ndarray:
+    """(rows, n) entries of one family, for the certified-interval property."""
+    if family == "mixed":  # both signs, magnitudes from 1e-300 to 1e300
+        return rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-300, 301, (rows, n))
+    if family == "cancel":  # each row sums to exactly 0
+        half = rng.standard_normal((rows, n // 2)) * 2.0 ** rng.integers(-40, 41, (rows, n // 2))
+        return rng.permuted(np.concatenate([half, -half, np.zeros((rows, n % 2))], axis=1), axis=1)
+    if family == "subnormal":
+        return rng.integers(-(2**20), 2**20, (rows, n)) * 2.0**-1074
+    if family == "nonfinite":
+        return rng.choice([math.inf, -math.inf, math.nan, 0.5], (rows, n), p=[0.02, 0.02, 0.02, 0.94])
+    # KL-like p*log(p/q): rows of one draw, or copies of one row with an
+    # entry moved by one ulp either way, whose totals tie or nearly tie.
+    p = rng.random((rows, n)) + 1e-12
+    x = p * np.log(p / (rng.random((rows, n)) + 1e-9))
+    if family == "near-ties":
+        x[:] = x[0]
+        cols = rng.integers(n, size=rows)
+        x[np.arange(rows), cols] = np.nextafter(x[0, cols], rng.choice([-np.inf, np.inf], rows))
+        if rows > 1:
+            x[0] = x[1]  # an exact tie
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n0=st.integers(1, 6),
+    n1=st.integers(1, 6),
+    motor=st.integers(1, 3),
+    rows=st.integers(1, 6),
+    family=st.sampled_from(["mixed", "cancel", "subnormal", "nonfinite", "kl", "near-ties"]),
+)
+def test_float_totals_certify_exact_totals(seed, n0, n1, motor, rows, family):
+    # |a - c| <= r / 2 for every row, so a comparison that the intervals
+    # [a - r, a + r] settle agrees with the comparison of exact totals.
+    rng = np.random.default_rng(seed)
+    mot, sen = _alphabets(motor, 2)
+    kernel = PairObjective(_sparse_model(rng, n0, mot, sen), _sparse_model(rng, n1, mot, sen), 1e-9)
+    x = np.ascontiguousarray(_entry_rows(rng, family, rows, kernel.p.shape[1]))
+    with np.errstate(invalid="ignore"):  # inf - inf in non-finite rows
+        a, r = kernel.float_totals(x)
+        lo, hi = a - r, a + r
+    # A non-finite row settles no comparison; the others are summed exactly.
+    finite = np.isfinite(x).all(axis=1)
+    c = [kernel.exact_totals(row[None])[0] if ok else None for row, ok in zip(x, finite)]
+    for i in range(rows):
+        if finite[i]:
+            assert abs(Fraction(a[i]) - Fraction(c[i])) <= Fraction(r[i]) / 2
+        for j in range(rows):
+            settled = hi[i] < lo[j] or lo[i] >= hi[j]
+            if not (finite[i] and finite[j]):
+                assert not settled
+            elif settled:
+                assert (c[i] < c[j]) == (hi[i] < lo[j])

@@ -81,19 +81,22 @@ def test_final_total_is_running_minimum(corridor4, corridor5, monkeypatch):
     # The accepted-totals sequence is strictly decreasing by construction;
     # check the reported final equals the minimum ever evaluated & accepted.
     seen = []
-    real = PairObjective.totals
+    real = PairObjective.entries
 
     def recording(self, phi, phi_inv):
-        v = real(self, phi, phi_inv)
-        seen.extend(v)
-        return v
+        x = real(self, phi, phi_inv)
+        seen.append(x)
+        return x
 
-    monkeypatch.setattr(PairObjective, "totals", recording)
+    monkeypatch.setattr(PairObjective, "entries", recording)
     rng = np.random.default_rng(5)
     start = random_map(4, 5, rng)
+    objective = PairObjective(corridor4, corridor5, FAST.policy.epsilon)
     _, report, iters = hill_climb(corridor4, corridor5, start, FAST, rng)
-    assert len(seen) == iters + 1
-    assert report.total == min(seen)
+    # The last stack is the report's, of the returned map.
+    totals = objective.exact_totals(np.concatenate(seen[:-1]))
+    assert len(totals) == iters + 1
+    assert report.total == min(totals)
 
 
 def test_hill_climb_matches_reference_objective(corridor4, corridor5, monkeypatch):
@@ -105,15 +108,29 @@ def test_hill_climb_matches_reference_objective(corridor4, corridor5, monkeypatc
 
     fast, _, fast_iters = climb()
 
-    def reference_totals(self, phi, phi_inv):
-        m = len(corridor4.motor)
-        out = []
-        for p, p_inv in zip(phi, phi_inv):
-            t = reference_terms(corridor4, corridor5, p, p_inv, self.epsilon)
-            out.append(left_sum(t[:m]) + t[m] + left_sum(t[m + 1 : 2 * m + 1]) + t[2 * m + 1])
-        return out
+    # The reference total of every map pair the climber scores, keyed by
+    # the entries the kernel computed for it; an infinite radius sends
+    # every comparison to the exact totals, which read these.
+    m = len(corridor4.motor)
+    reference = {}
+    real_entries = PairObjective.entries
 
-    monkeypatch.setattr(PairObjective, "totals", reference_totals)
+    def recording(self, phi, phi_inv):
+        x = real_entries(self, phi, phi_inv)
+        for row, p, p_inv in zip(x, phi, phi_inv):
+            t = reference_terms(corridor4, corridor5, p, p_inv, self.epsilon)
+            reference[row.tobytes()] = left_sum(t[:m]) + t[m] + left_sum(t[m + 1 : 2 * m + 1]) + t[2 * m + 1]
+        return x
+
+    def infinite_radius(self, x):
+        return x.sum(axis=1), np.full(len(x), np.inf)
+
+    def reference_totals(self, x):
+        return [reference[row.tobytes()] for row in x]
+
+    monkeypatch.setattr(PairObjective, "entries", recording)
+    monkeypatch.setattr(PairObjective, "float_totals", infinite_radius)
+    monkeypatch.setattr(PairObjective, "exact_totals", reference_totals)
     slow, _, slow_iters = climb()
     assert fast_iters == slow_iters
     assert fast.phi.tobytes() == slow.phi.tobytes()
@@ -184,6 +201,67 @@ def test_hill_climb_matches_scalar_loop(corridor4, corridor5, shape):
     assert mapping.phi_inv.tobytes() == phi_inv.tobytes()
 
 
+def _exact_rows(monkeypatch) -> dict:
+    """Counts the rows PairObjective scores: all, and those summed exactly."""
+    count = {"rows": 0, "exact": 0}
+    real_entries, real_exact = PairObjective.entries, PairObjective.exact_totals
+
+    def entries(self, phi, phi_inv):
+        count["rows"] += len(phi)
+        return real_entries(self, phi, phi_inv)
+
+    def exact_totals(self, x):
+        count["exact"] += len(x)
+        return real_exact(self, x)
+
+    monkeypatch.setattr(PairObjective, "entries", entries)
+    monkeypatch.setattr(PairObjective, "exact_totals", exact_totals)
+    return count
+
+
+def test_tied_proposals_take_exact_path(monkeypatch):
+    # Against a one-state model every proposal on a phi_inv column leaves
+    # the map as it was, so its total ties the current one exactly; the
+    # intervals cannot settle a tie, and the exact totals must reject it.
+    two = FiniteStateModel(
+        n=2, motor=Alphabet(("a",)), sensor=Alphabet(("s1", "s2")),
+        transitions={"a": np.eye(2)}, output=np.full((2, 2), 0.5),
+    )
+    one = FiniteStateModel(
+        n=1, motor=two.motor, sensor=two.sensor, transitions={"a": [[1.0]]}, output=[[0.5], [0.5]]
+    )
+    config = OptimizerConfig(max_iters=2000)
+    rng = np.random.default_rng(6)
+    start = random_map(2, 1, rng)
+    state = rng.bit_generator.state
+    count = _exact_rows(monkeypatch)
+    mapping, report, iters = hill_climb(two, one, start, config, rng)
+    assert count["exact"] > 0.2 * iters
+    rng.bit_generator.state = state
+    phi, phi_inv, total, want_iters = _scalar_climb(two, one, start, config, rng)
+    assert (report.total, iters) == (total, want_iters)
+    assert mapping.phi.tobytes() == phi.tobytes()
+    assert mapping.phi_inv.tobytes() == phi_inv.tobytes()
+
+
+@pytest.mark.parametrize("pair", ["corridor", "16x32"])
+def test_comparisons_rarely_take_exact_path(corridor4, corridor5, pair, monkeypatch):
+    # Certified intervals settle almost every accept/reject decision: at
+    # most 1 % of the rows the climber scores are summed exactly, counting
+    # each restart's final total.
+    if pair == "corridor":
+        o0, o1, config = corridor4, corridor5, OptimizerConfig(seed=0, restarts=10, max_iters=2000)
+    else:
+        rng = np.random.default_rng(0)
+        sensor = Alphabet(("s1", "s2", "s3"))
+        o0, o1 = random_model(rng, 16, MOTOR, sensor), random_model(rng, 32, MOTOR, sensor)
+        config = OptimizerConfig(seed=0, restarts=2, max_iters=300)
+    count = _exact_rows(monkeypatch)
+    optimize(o0, o1, config)
+    assert count["rows"] == config.restarts * (config.max_iters + 1) + 1
+    assert count["exact"] <= 0.01 * count["rows"]
+
+
 @pytest.mark.parametrize(
     "shape, config",
     [
@@ -223,15 +301,16 @@ def test_totals_stacks_within_entry_cap(n, monkeypatch):
     o0, o1 = _pair(n, n, 2)
     pair_entries = 2 * len(MOTOR) * n * n + 2 * len(SENSOR) * n
     shapes = []
-    real = PairObjective.totals
+    real = PairObjective.entries
 
     def recording(self, phi, phi_inv):
         shapes.append((phi.shape, phi_inv.shape))
         return real(self, phi, phi_inv)
 
-    monkeypatch.setattr(PairObjective, "totals", recording)
+    monkeypatch.setattr(PairObjective, "entries", recording)
     optimize(o0, o1, OptimizerConfig(seed=0, restarts=50, max_iters=2))
-    assert sum(a[0] for a, _ in shapes) == 50 * 3
+    # Three stacks per restart, and the best map's report.
+    assert sum(a[0] for a, _ in shapes) == 50 * 3 + 1
     assert all(a[0] == b[0] for a, b in shapes)
     # One map pair per call is the least a call can score.
     assert all(a[0] == 1 or a[0] * pair_entries <= MAX_STACK_ENTRIES for a, _ in shapes)

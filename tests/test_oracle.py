@@ -170,7 +170,19 @@ def test_chunked_oracle_keeps_first_minimum(cap, monkeypatch):
     assert totals.count(want) >= 2
     if cap is not None:
         monkeypatch.setattr(ontomap.objective, "MAX_STACK_ENTRIES", cap)
+    # Certified intervals cannot tell tied points apart: both must be summed
+    # exactly for the first to be kept.
+    exact = []
+    real = PairObjective.exact_totals
+
+    def recording(self, x):
+        totals = real(self, x)
+        exact.extend(totals)
+        return totals
+
+    monkeypatch.setattr(PairObjective, "exact_totals", recording)
     mapping, total = oracle_search(m, m, resolution=0.25)
+    assert exact.count(want) >= 2
     assert total == want
     assert mapping.phi.tobytes() == phi.tobytes()
     assert mapping.phi_inv.tobytes() == phi_inv.tobytes()
