@@ -38,6 +38,19 @@ def _smooth(q: np.ndarray, epsilon: float) -> np.ndarray:
     return qf / qf.sum(axis=-2, keepdims=True)
 
 
+def _smooth_column(q: np.ndarray, j: int, epsilon: float) -> np.ndarray:
+    """``_smooth(q, epsilon)[..., j]``, bit for bit, smoothing column j alone.
+
+    ``sum(axis=-2)`` adds a matrix's rows in order, and so does the
+    accumulation here; ``sum`` of a lone column would add it pairwise. A
+    matrix of one column is smoothed whole, as ``_smooth`` reduces it.
+    """
+    if q.shape[-1] == 1:
+        return _smooth(q, epsilon)[..., 0]
+    qf = np.maximum(q[..., j], epsilon)
+    return qf / np.add.accumulate(qf, axis=-1)[..., -1:]
+
+
 def _kl_entries(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-entry KL contributions of positive true entries ``p``."""
     return p * np.log(p / q)

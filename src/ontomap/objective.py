@@ -15,10 +15,13 @@ side only: A0 @ phi against A1, and A1 @ phi_inv against A0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .divergence import DEFAULT_POLICY, SmoothingPolicy, _fsums, _kl_entries, _segments, _smooth
+from .divergence import _smooth_column
 from .divergence import kl_columns  # noqa: F401  (perfbench/spans.py wraps it here)
 from .model import FiniteStateModel, ModelFormatError, ModelValidationError, dump_json, load_json
 from .model import _matrix_from_rows, column_violations, validate_model
@@ -133,6 +136,27 @@ def _check_map_shape(o0: FiniteStateModel, o1: FiniteStateModel, mapping: Ontolo
 MAX_STACK_ENTRIES = 16384
 
 
+class _Moves(NamedTuple):
+    """Index tables for ``PairObjective.moved``, one entry per side (0 when
+    a column of phi moves, 1 when a column of phi_inv moves).
+
+    ``columns[side][j]`` holds the row positions of the entries in column j
+    of the side's transition terms and then of its output term, their
+    places in that column of the side's approximations, and their
+    true-side values. ``spans[side]`` holds the row range of the other
+    side's transition terms, their places in its flattened transition
+    stack, and their true-side values. A place list is None where it would
+    take every place in order, as it does for a model without zeros.
+    """
+
+    columns: tuple[list[tuple[np.ndarray, np.ndarray | None, np.ndarray]], ...]
+    spans: tuple[tuple[slice, np.ndarray | None, np.ndarray], ...]
+
+
+def _places(keep: np.ndarray) -> np.ndarray | None:
+    return None if keep.all() else np.flatnonzero(keep)
+
+
 class PairObjective:
     """The objective of one model pair, as a function of the map pair.
 
@@ -145,13 +169,14 @@ class PairObjective:
     def __init__(self, o0: FiniteStateModel, o1: FiniteStateModel, epsilon: float):
         self.motor = o0.motor.symbols
         self.epsilon = epsilon
-        self.t0 = np.stack([o0.transitions[x] for x in self.motor])
-        self.t1 = np.stack([o1.transitions[x] for x in self.motor])
-        self.a0 = o0.output
-        self.a1 = o1.output
+        # Each side's transition stack and output matrix: side 0 is O0, whose
+        # approximations phi_inv @ T0^x @ phi and A0 @ phi move with phi's
+        # columns; side 1 is O1, whose approximations move with phi_inv's.
+        self.t = tuple(np.stack([o.transitions[x] for x in self.motor]) for o in (o0, o1))
+        self.a = (o0.output, o1.output)
         # True sides as stacks of terms, in the order terms() approximates
         # them: T1^x for each x, A1, T0^x for each x, A0.
-        trues = (self.t1, self.a1[None], self.t0, self.a0[None])
+        trues = (self.t[1], self.a[1][None], self.t[0], self.a[0][None])
         masks = [p > 0 for p in trues]
         # As a row, so that one map pair's entries need no broadcasting.
         self.p = np.concatenate([p[mask] for p, mask in zip(trues, masks)])[None]
@@ -170,18 +195,81 @@ class PairObjective:
         """The KL entries of each map pair in stacks of shape (R, n0, n1) and
         (R, n1, n0), as an (R, N) matrix: one column per positive true-side
         entry, in the order of the terms."""
-        eps = self.epsilon
         r = len(phi)
+        maps = (phi, phi_inv)
         q = np.concatenate(
-            (
-                _smooth(phi_inv[:, None] @ self.t0 @ phi[:, None], eps).reshape(r, -1),
-                _smooth(self.a0 @ phi, eps).reshape(r, -1),
-                _smooth(phi[:, None] @ self.t1 @ phi_inv[:, None], eps).reshape(r, -1),
-                _smooth(self.a1 @ phi_inv, eps).reshape(r, -1),
-            ),
+            [
+                _smooth(b, self.epsilon).reshape(r, -1)
+                for side in (0, 1)
+                for b in (self._transitions(side, phi, phi_inv), self.a[side] @ maps[side])
+            ],
             axis=1,
         ).take(self.index, axis=1)
         return _kl_entries(self.p, q)
+
+    def _transitions(self, side: int, phi: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
+        """The transition approximations of side 0 (phi_inv @ T0^x @ phi)
+        or side 1 (phi @ T1^x @ phi_inv) for stacked map pairs; the output
+        approximations are A0 @ phi and A1 @ phi_inv."""
+        right, left = (phi, phi_inv)[side], (phi_inv, phi)[side]
+        return left[:, None] @ self.t[side] @ right[:, None]
+
+    @cached_property
+    def _moves(self) -> _Moves:
+        # Built on a climber's first move, so evaluate, the oracle and
+        # stacked climbs never pay for it.
+        m, k = len(self.motor), self.a[0].shape[0]
+        n = (self.t[1].shape[-1], self.t[0].shape[-1])  # columns of phi, of phi_inv
+        # The four blocks entries() gathers from: each side's transition
+        # stack (m, n, n), then its output matrix (k, n).
+        offsets = np.cumsum([0] + [size for s in (0, 1) for size in (m * n[s] * n[s], k * n[s])])
+        rows = np.full(offsets[-1], -1)  # the row position of each gathered entry
+        rows[self.index] = np.arange(len(self.index))
+        columns, spans = [], []
+        for side, other in ((0, 1), (1, 0)):
+            # Places of column 0: transition entries in (x, i) order, then
+            # output entries; column j's are j further on.
+            column0 = np.concatenate(
+                (
+                    offsets[2 * side] + np.arange(m * n[side]) * n[side],
+                    offsets[2 * side + 1] + np.arange(k) * n[side],
+                )
+            )
+            table = []
+            for j in range(n[side]):
+                pos = rows[column0 + j]
+                keep = pos >= 0
+                table.append((pos[keep], _places(keep), self.p[0, pos[keep]]))
+            columns.append(table)
+            start, stop = np.searchsorted(self.index, offsets[2 * other : 2 * other + 2])
+            keep = rows[offsets[2 * other] : offsets[2 * other + 1]] >= 0
+            spans.append((slice(start, stop), _places(keep), self.p[0, start:stop]))
+        return _Moves(tuple(columns), tuple(spans))
+
+    def moved(self, phi: np.ndarray, phi_inv: np.ndarray, side: int, j: int, x: np.ndarray) -> np.ndarray:
+        """The entries row of the map pair (phi, phi_inv), whose column j of
+        phi (side 0) or of phi_inv (side 1) has moved since its row was
+        ``x``.
+
+        Moving column j of phi changes column j of phi_inv @ T0^x @ phi and
+        of A0 @ phi, every entry of phi @ T1^x @ phi_inv, and nothing of
+        A1 @ phi_inv; a column of phi_inv mirrors this. The products are
+        formed whole, as ``entries`` forms them, but only the changed
+        entries are smoothed and rescored (``_smooth_column`` for column
+        j), and the others are copied from ``x``: the row equals
+        ``entries(phi[None], phi_inv[None])[0]`` bit for bit.
+        """
+        eps = self.epsilon
+        pos, take, p = self._moves.columns[side][j]
+        span, span_take, span_p = self._moves.spans[side]
+        maps = (phi[None], phi_inv[None])
+        trans, out = self._transitions(side, *maps), self.a[side] @ maps[side]
+        q = np.concatenate((_smooth_column(trans, j, eps), _smooth_column(out, j, eps)), axis=None)
+        whole = _smooth(self._transitions(1 - side, *maps), eps).reshape(-1)
+        row = x.copy()
+        row[span] = _kl_entries(span_p, whole if span_take is None else whole.take(span_take))
+        row[pos] = _kl_entries(p, q if take is None else q.take(take))
+        return row
 
     def float_totals(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each row of entries ``x`` (from ``entries``), its float sum
@@ -191,8 +279,10 @@ class PairObjective:
         Proof, with u = 2**-53, gamma_j = j * u / (1 - j * u), N entries per
         row, m motor symbols, S the exact sum of a row and s = sum |x_i|:
 
-        * ``a`` is a float sum in some order: |a - S| <= gamma_{N-1} * s.
-          The computed s' of the |x_i| likewise has s <= s' / (1 - gamma_{N-1}).
+        * ``a`` is a float sum of the N entries, and any summation tree
+          (numpy's pairwise one, or partial sums added up) gives
+          |a - S| <= gamma_{N-1} * s. The computed s' of the |x_i|
+          likewise has s <= s' / (1 - gamma_{N-1}).
         * c adds 2m + 2 correctly rounded term sums t_j with 2m + 1 rounded
           additions (``_sum``): |t_j - T_j| <= u * |T_j| for each exact term
           sum T_j, and sum |t_j| <= (1 + u) * s, so

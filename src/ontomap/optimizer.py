@@ -7,7 +7,9 @@ improving moves are accepted; the step is halved after ``PATIENCE``
 consecutive rejections and the climb stops once it falls below
 ``MIN_STEP``. Restarts draw from independent, seed-derived RNG streams, so
 results do not depend on execution order: ``optimize`` climbs them in
-lock-step and scores all their proposals in one batched objective call.
+lock-step and scores all their proposals in one batched objective call,
+or, for map pairs too large to stack, rescores only what each proposal's
+moved column changes.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ class RestartOutcome:
     restart: int
     final_total: float
     iterations: int
+    accepted: int  # moves accepted
+    stop: str  # why the climb stopped: "max_iters" or "min_step"
 
 
 @dataclass(frozen=True)
@@ -82,35 +86,42 @@ def _climb(
     starts: list[OntologyMap],
     rngs: list[np.random.Generator],
     max_iters: int,
-) -> list[tuple[np.ndarray, np.ndarray, float, int]]:
+) -> list[tuple[np.ndarray, np.ndarray, float, int, int, str]]:
     """Climb from each start with its own rng, all restarts in lock-step.
 
     Each restart draws from its rng exactly as a climb on its own would
     (a column, then that column's noise) and keeps its own step, rejection
-    count and stop test; all candidates are scored in one ``entries`` call.
-    A candidate is accepted when its total is below the current one. The
-    certified intervals of ``float_totals`` settle that comparison when
-    they do not overlap; otherwise both exact totals are taken, the
-    current one from its stored entries. Returns (phi, phi_inv, total,
-    iterations) per restart, with the exact total.
+    count and stop test. A candidate is accepted when its total is below
+    the current one. The certified intervals of ``float_totals`` settle
+    that comparison when they do not overlap; otherwise both exact totals
+    are taken, the current one from its stored entries.
+
+    Candidates are scored in one ``entries`` call, unless the kernel takes
+    one map pair per call (``objective.batch == 1``): then each candidate
+    is rescored from its restart's current row by ``moved``, which gives
+    the same row bit for bit, so the same moves are accepted. Returns (phi,
+    phi_inv, total, iterations, accepted moves, stop reason) per restart,
+    with the exact total; the stop reason is "min_step" once the step has
+    fallen below MIN_STEP, and "max_iters" otherwise.
     """
     n0, n1 = starts[0].n0, starts[0].n1
     n_cols = n1 + n0  # phi has n1 columns, phi_inv has n0
     eps = objective.epsilon
+    single = objective.batch == 1
     phi = np.stack([s.phi for s in starts])
     phi_inv = np.stack([s.phi_inv for s in starts])
 
-    def intervals(x):
-        a, r = objective.float_totals(x)
+    def intervals(a, r):
         return [(u - v, u + v) for u, v in zip(a.tolist(), r.tolist())]
 
-    # Each restart's current state: its entries, their certified interval
-    # (lo, hi), and its exact total once one has been taken.
+    # Each restart's current state: its entries row, their certified
+    # interval (lo, hi), and its exact total once one has been taken.
     x = objective.entries(phi, phi_inv)
-    bounds = intervals(x)
+    bounds = intervals(*objective.float_totals(x))
     exact = [None] * len(starts)
     step = [INITIAL_STEP] * len(starts)
     rejections = [0] * len(starts)
+    accepted = [0] * len(starts)
     live = list(range(len(starts)))  # restart index of each stack entry
     done = [None] * len(starts)
     iters = 0
@@ -122,11 +133,12 @@ def _climb(
             else:
                 if exact[i] is None:
                     [exact[i]] = objective.exact_totals(x[i : i + 1])
-                done[live[i]] = (phi[i], phi_inv[i], exact[i], iters)
+                stop = "min_step" if s < MIN_STEP else "max_iters"
+                done[live[i]] = (phi[i], phi_inv[i], exact[i], iters, accepted[i], stop)
         if len(keep) < len(live):
             phi, phi_inv, x = phi[keep], phi_inv[keep], x[keep]
-            bounds, exact, step, rejections, live = (
-                [v[i] for i in keep] for v in (bounds, exact, step, rejections, live)
+            bounds, exact, step, rejections, accepted, live = (
+                [v[i] for i in keep] for v in (bounds, exact, step, rejections, accepted, live)
             )
             continue
         iters += 1
@@ -137,32 +149,38 @@ def _climb(
             m, j = (0, k) if k < n1 else (1, k - n1)
             batches[m].append((i, j, rngs[r].standard_normal(n1 if m else n0)))
         undo = {}
-        for mat, batch in zip((phi, phi_inv), batches):
+        for m, (mat, batch) in enumerate(zip((phi, phi_inv), batches)):
             if batch:
                 old = np.array([mat[i, :, j] for i, j, _ in batch])
                 steps = np.array([step[i] for i, _, _ in batch])
                 new = _perturb_rows(old, steps, eps, np.array([z for _, _, z in batch]))
                 for (i, j, _), row, before in zip(batch, new, old):
                     mat[i, :, j] = row
-                    undo[i] = (mat, j, before)
-        x_new = objective.entries(phi, phi_inv)
-        for i, (lo, hi) in enumerate(intervals(x_new)):
+                    undo[i] = (m, j, before)
+        if single:
+            x_new = [objective.moved(phi[i], phi_inv[i], *undo[i][:2], x[i]) for i in range(len(live))]
+            new_bounds = [b for row in x_new for b in intervals(*objective.float_totals(row[None]))]
+        else:
+            x_new = objective.entries(phi, phi_inv)
+            new_bounds = intervals(*objective.float_totals(x_new))
+        for i, (lo, hi) in enumerate(new_bounds):
             c = None
             if hi < bounds[i][0]:
                 better = True
             elif lo >= bounds[i][1]:
                 better = False
             else:  # overlapping or non-finite intervals: exact totals decide
-                [c] = objective.exact_totals(x_new[i : i + 1])
+                [c] = objective.exact_totals(x_new[i][None])
                 if exact[i] is None:
                     [exact[i]] = objective.exact_totals(x[i : i + 1])
                 better = c < exact[i]
             if better:
                 x[i], bounds[i], exact[i] = x_new[i], (lo, hi), c
                 rejections[i] = 0
+                accepted[i] += 1
                 continue
-            mat, j, before = undo[i]
-            mat[i, :, j] = before
+            m, j, before = undo[i]
+            (phi, phi_inv)[m][i, :, j] = before
             rejections[i] += 1
             if rejections[i] >= PATIENCE:
                 step[i] *= STEP_DECAY
@@ -185,7 +203,7 @@ def hill_climb(
     """
     _check_map_shape(o0, o1, start)
     objective = PairObjective(o0, o1, config.policy.epsilon)
-    [(phi, phi_inv, _, iters)] = _climb(objective, [start], [rng], config.max_iters)
+    [(phi, phi_inv, _, iters, _, _)] = _climb(objective, [start], [rng], config.max_iters)
     result = OntologyMap(phi=phi, phi_inv=phi_inv)
     return result, objective.report(result.phi, result.phi_inv), iters
 
@@ -217,8 +235,10 @@ def optimize(
         rngs = [_restart_rng(config.seed, r) for r in group]
         starts = [random_map(o0.n, o1.n, rng) for rng in rngs]
         climbs = _climb(objective, starts, rngs, config.max_iters)
-        for r, (phi, phi_inv, total, iters) in zip(group, climbs):
-            outcomes.append(RestartOutcome(restart=r, final_total=total, iterations=iters))
+        for r, (phi, phi_inv, total, iters, accepted, stop) in zip(group, climbs):
+            outcomes.append(
+                RestartOutcome(restart=r, final_total=total, iterations=iters, accepted=accepted, stop=stop)
+            )
             if best is None or total < best[2]:
                 best = (phi, phi_inv, total)
     best_map = OntologyMap(phi=best[0], phi_inv=best[1])

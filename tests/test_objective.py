@@ -298,3 +298,54 @@ def test_float_totals_certify_exact_totals(seed, n0, n1, motor, rows, family):
                 assert not settled
             elif settled:
                 assert (c[i] < c[j]) == (hi[i] < lo[j])
+
+
+def _map_column(rng, rows: int, sparse: bool) -> np.ndarray:
+    """A column-stochastic column: dense, or with exact zeros (some one-hot)."""
+    if sparse:
+        return _sparse_stochastic(rng, rows, 1)[:, 0]
+    col = rng.standard_exponential(rows)
+    return col / col.sum()
+
+
+_MOVE_STATES = st.one_of(st.integers(1, 40), st.integers(48, 64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n0=_MOVE_STATES,
+    n1=_MOVE_STATES,
+    motor=st.integers(1, 3),
+    sensor=st.integers(1, 4),
+    epsilon=st.sampled_from([1e-9, 1e-3]),
+    sparse_models=st.booleans(),
+    sparse_maps=st.booleans(),
+)
+@example(seed=0, n0=16, n1=64, motor=2, sensor=3, epsilon=1e-9, sparse_models=False, sparse_maps=False)
+@example(seed=1, n0=64, n1=1, motor=3, sensor=4, epsilon=1e-3, sparse_models=True, sparse_maps=True)
+# A one-column map whose output column is long enough for numpy to sum it
+# pairwise when it is the whole matrix.
+@example(seed=1, n0=6, n1=1, motor=1, sensor=12, epsilon=1e-9, sparse_models=False, sparse_maps=False)
+def test_moved_rows_equal_entries(seed, n0, n1, motor, sensor, epsilon, sparse_models, sparse_maps):
+    # Rescoring only what a one-column move changes gives the row that
+    # entries() gives for the moved pair, byte for byte, move after move;
+    # every column of both maps moves once, in a random order.
+    rng = np.random.default_rng(seed)
+    mot, sen = _alphabets(motor, sensor)
+    model = _sparse_model if sparse_models else random_model
+    kernel = PairObjective(model(rng, n0, mot, sen), model(rng, n1, mot, sen), epsilon)
+    phi = np.stack([_map_column(rng, n0, sparse_maps) for _ in range(n1)], axis=1)
+    phi_inv = np.stack([_map_column(rng, n1, sparse_maps) for _ in range(n0)], axis=1)
+    x = kernel.entries(phi[None], phi_inv[None])[0]
+    moves = [(0, j) for j in range(n1)] + [(1, j) for j in range(n0)]
+    for k in rng.permutation(len(moves)):
+        side, j = moves[k]
+        mat = (phi, phi_inv)[side]
+        mat[:, j] = _map_column(rng, len(mat), sparse_maps)
+        x = kernel.moved(phi, phi_inv, side, j, x)
+        assert x.tobytes() == kernel.entries(phi[None], phi_inv[None])[0].tobytes()
+    # The moved row's certified interval holds its exact total.
+    a, r = kernel.float_totals(x[None])
+    [c] = kernel.exact_totals(x[None])
+    assert abs(Fraction(a[0]) - Fraction(c)) <= Fraction(r[0]) / 2

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ontomap.objective
 from conftest import left_sum, random_model, reference_terms
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import SmoothingPolicy
@@ -158,14 +159,21 @@ def _pair(n0, n1, seed):
     return random_model(rng, n0, MOTOR, SENSOR), random_model(rng, n1, MOTOR, SENSOR)
 
 
+def _one_pair_per_call(monkeypatch) -> None:
+    """Makes every kernel score one map pair per call (``batch == 1``), so
+    that the climber rescores each move with ``PairObjective.moved``."""
+    monkeypatch.setattr(ontomap.objective, "MAX_STACK_ENTRIES", 1)
+
+
 def _scalar_climb(o0, o1, start, config, rng):
     """One restart climbed a column at a time with scalar bookkeeping: the
-    loop the lock-step climber must reproduce exactly."""
+    loop the lock-step climber must reproduce exactly. Returns (phi,
+    phi_inv, total, iterations, accepted moves, stop reason)."""
     eps = config.policy.epsilon
     objective = PairObjective(o0, o1, eps)
     phi, phi_inv = np.array(start.phi), np.array(start.phi_inv)
     current = objective.total(phi, phi_inv)
-    step, rejections, iters = INITIAL_STEP, 0, 0
+    step, rejections, iters, accepted = INITIAL_STEP, 0, 0, 0
     while iters < config.max_iters and step >= MIN_STEP:
         iters += 1
         k = int(rng.integers(o1.n + o0.n))
@@ -177,16 +185,19 @@ def _scalar_climb(o0, o1, start, config, rng):
         mat[:, j] = e / e.sum()
         candidate = objective.total(phi, phi_inv)
         if candidate < current:
-            current, rejections = candidate, 0
+            current, rejections, accepted = candidate, 0, accepted + 1
         else:
             mat[:, j] = old
             rejections += 1
             if rejections >= PATIENCE:
                 step, rejections = step * STEP_DECAY, 0
-    return phi, phi_inv, current, iters
+    return phi, phi_inv, current, iters, accepted, "min_step" if step < MIN_STEP else "max_iters"
 
 
-@pytest.mark.parametrize("shape", ["corridor", (1, 2), (17, 9), (40, 33)])
+SCALAR_LOOP_SHAPES = ["corridor", (1, 2), (17, 9), (40, 33)]
+
+
+@pytest.mark.parametrize("shape", SCALAR_LOOP_SHAPES)
 def test_hill_climb_matches_scalar_loop(corridor4, corridor5, shape):
     o0, o1 = (corridor4, corridor5) if shape == "corridor" else _pair(*shape, 2)
     config = OptimizerConfig(max_iters=6000 if o0.n + o1.n < 10 else 150)
@@ -195,26 +206,39 @@ def test_hill_climb_matches_scalar_loop(corridor4, corridor5, shape):
     state = rng.bit_generator.state
     mapping, report, iters = hill_climb(o0, o1, start, config, rng)
     rng.bit_generator.state = state
-    phi, phi_inv, total, want_iters = _scalar_climb(o0, o1, start, config, rng)
+    phi, phi_inv, total, want_iters, _, _ = _scalar_climb(o0, o1, start, config, rng)
     assert (report.total, iters) == (total, want_iters)
     assert mapping.phi.tobytes() == phi.tobytes()
     assert mapping.phi_inv.tobytes() == phi_inv.tobytes()
 
 
+@pytest.mark.parametrize("shape", SCALAR_LOOP_SHAPES)
+def test_hill_climb_matches_scalar_loop_moved(corridor4, corridor5, shape, monkeypatch):
+    _one_pair_per_call(monkeypatch)
+    test_hill_climb_matches_scalar_loop(corridor4, corridor5, shape)
+
+
 def _exact_rows(monkeypatch) -> dict:
-    """Counts the rows PairObjective scores: all, and those summed exactly."""
+    """Counts the rows PairObjective scores, by ``entries`` or ``moved``:
+    all, and those summed exactly."""
     count = {"rows": 0, "exact": 0}
-    real_entries, real_exact = PairObjective.entries, PairObjective.exact_totals
+    real_entries, real_moved = PairObjective.entries, PairObjective.moved
+    real_exact = PairObjective.exact_totals
 
     def entries(self, phi, phi_inv):
         count["rows"] += len(phi)
         return real_entries(self, phi, phi_inv)
+
+    def moved(self, *args):
+        count["rows"] += 1
+        return real_moved(self, *args)
 
     def exact_totals(self, x):
         count["exact"] += len(x)
         return real_exact(self, x)
 
     monkeypatch.setattr(PairObjective, "entries", entries)
+    monkeypatch.setattr(PairObjective, "moved", moved)
     monkeypatch.setattr(PairObjective, "exact_totals", exact_totals)
     return count
 
@@ -238,23 +262,30 @@ def test_tied_proposals_take_exact_path(monkeypatch):
     mapping, report, iters = hill_climb(two, one, start, config, rng)
     assert count["exact"] > 0.2 * iters
     rng.bit_generator.state = state
-    phi, phi_inv, total, want_iters = _scalar_climb(two, one, start, config, rng)
+    phi, phi_inv, total, want_iters, _, _ = _scalar_climb(two, one, start, config, rng)
     assert (report.total, iters) == (total, want_iters)
     assert mapping.phi.tobytes() == phi.tobytes()
     assert mapping.phi_inv.tobytes() == phi_inv.tobytes()
 
 
-@pytest.mark.parametrize("pair", ["corridor", "16x32"])
+def test_tied_proposals_take_exact_path_moved(monkeypatch):
+    _one_pair_per_call(monkeypatch)
+    test_tied_proposals_take_exact_path(monkeypatch)
+
+
+@pytest.mark.parametrize("pair", ["corridor", "16x32", "16x64"])
 def test_comparisons_rarely_take_exact_path(corridor4, corridor5, pair, monkeypatch):
     # Certified intervals settle almost every accept/reject decision: at
     # most 1 % of the rows the climber scores are summed exactly, counting
-    # each restart's final total.
+    # each restart's final total. A 16x64 pair scores one pair per call,
+    # so its climbs rescore each move with ``moved``.
     if pair == "corridor":
         o0, o1, config = corridor4, corridor5, OptimizerConfig(seed=0, restarts=10, max_iters=2000)
     else:
         rng = np.random.default_rng(0)
         sensor = Alphabet(("s1", "s2", "s3"))
-        o0, o1 = random_model(rng, 16, MOTOR, sensor), random_model(rng, 32, MOTOR, sensor)
+        n0, n1 = map(int, pair.split("x"))
+        o0, o1 = random_model(rng, n0, MOTOR, sensor), random_model(rng, n1, MOTOR, sensor)
         config = OptimizerConfig(seed=0, restarts=2, max_iters=300)
     count = _exact_rows(monkeypatch)
     optimize(o0, o1, config)
@@ -262,19 +293,19 @@ def test_comparisons_rarely_take_exact_path(corridor4, corridor5, pair, monkeypa
     assert count["exact"] <= 0.01 * count["rows"]
 
 
-@pytest.mark.parametrize(
-    "shape, config",
-    [
-        ("corridor", OptimizerConfig(seed=0, restarts=6, max_iters=1500)),
-        ((2, 3), OptimizerConfig(seed=1, restarts=5, max_iters=2000)),
-        ((3, 2), OptimizerConfig(seed=2, restarts=4, max_iters=2000)),
-        ((9, 9), OptimizerConfig(seed=3, restarts=4, max_iters=400)),
-        ((17, 9), OptimizerConfig(seed=4, restarts=3, max_iters=200)),
-        ((17, 17), OptimizerConfig(seed=5, restarts=2, max_iters=100)),
-        # Restarts that stop on MIN_STEP, each at its own iteration.
-        ((1, 2), OptimizerConfig(seed=0, restarts=4, max_iters=20000)),
-    ],
-)
+LOCK_STEP_CASES = [
+    ("corridor", OptimizerConfig(seed=0, restarts=6, max_iters=1500)),
+    ((2, 3), OptimizerConfig(seed=1, restarts=5, max_iters=2000)),
+    ((3, 2), OptimizerConfig(seed=2, restarts=4, max_iters=2000)),
+    ((9, 9), OptimizerConfig(seed=3, restarts=4, max_iters=400)),
+    ((17, 9), OptimizerConfig(seed=4, restarts=3, max_iters=200)),
+    ((17, 17), OptimizerConfig(seed=5, restarts=2, max_iters=100)),
+    # Restarts that stop on MIN_STEP, each at its own iteration.
+    ((1, 2), OptimizerConfig(seed=0, restarts=4, max_iters=20000)),
+]
+
+
+@pytest.mark.parametrize("shape, config", LOCK_STEP_CASES)
 def test_lock_step_matches_sequential_climbs(corridor4, corridor5, shape, config):
     # optimize climbs its restarts together; each must end exactly where a
     # climb of that restart alone, from the same stream, ends.
@@ -296,20 +327,61 @@ def test_lock_step_matches_sequential_climbs(corridor4, corridor5, shape, config
         assert max(iters) < config.max_iters and len(set(iters)) == len(iters)
 
 
+@pytest.mark.parametrize("shape, config", LOCK_STEP_CASES)
+def test_moved_path_matches_stacked_path(corridor4, corridor5, shape, config, monkeypatch):
+    # Rescoring each move from the current row, one map pair per call,
+    # ends every restart exactly where the stacked climb ends it.
+    o0, o1 = (corridor4, corridor5) if shape == "corridor" else _pair(*shape, 1)
+    stacked = optimize(o0, o1, config)
+    _one_pair_per_call(monkeypatch)
+    moved = optimize(o0, o1, config)
+    assert moved.per_restart == stacked.per_restart
+    assert moved.best_map.phi.tobytes() == stacked.best_map.phi.tobytes()
+    assert moved.best_map.phi_inv.tobytes() == stacked.best_map.phi_inv.tobytes()
+    assert moved.best_report.to_bytes() == stacked.best_report.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "shape, config, stop",
+    [
+        ("corridor", OptimizerConfig(seed=0, restarts=10, max_iters=2000), "max_iters"),
+        ((1, 2), OptimizerConfig(seed=0, restarts=4, max_iters=20000), "min_step"),
+    ],
+)
+def test_restarts_say_why_they_stopped(corridor4, corridor5, shape, config, stop):
+    # Every restart of a 10 x 2 000 corridor run is still improving when
+    # its iterations run out, while the (1, 2) restarts of the lock-step
+    # cases stop on MIN_STEP; each outcome's counts match the scalar loop.
+    o0, o1 = (corridor4, corridor5) if shape == "corridor" else _pair(*shape, 1)
+    res = optimize(o0, o1, config)
+    assert [o.stop for o in res.per_restart] == [stop] * config.restarts
+    for o in res.per_restart:
+        rng = _restart_rng(config.seed, o.restart)
+        _, _, total, iters, accepted, why = _scalar_climb(o0, o1, random_map(o0.n, o1.n, rng), config, rng)
+        assert (o.final_total, o.iterations, o.accepted, o.stop) == (total, iters, accepted, why)
+        assert 0 < o.accepted < o.iterations
+
+
 @pytest.mark.parametrize("n", [9, 64])
 def test_totals_stacks_within_entry_cap(n, monkeypatch):
     o0, o1 = _pair(n, n, 2)
     pair_entries = 2 * len(MOTOR) * n * n + 2 * len(SENSOR) * n
     shapes = []
-    real = PairObjective.entries
+    real_entries, real_moved = PairObjective.entries, PairObjective.moved
 
-    def recording(self, phi, phi_inv):
+    def entries(self, phi, phi_inv):
         shapes.append((phi.shape, phi_inv.shape))
-        return real(self, phi, phi_inv)
+        return real_entries(self, phi, phi_inv)
 
-    monkeypatch.setattr(PairObjective, "entries", recording)
+    def moved(self, phi, phi_inv, *args):
+        shapes.append(((1, *phi.shape), (1, *phi_inv.shape)))
+        return real_moved(self, phi, phi_inv, *args)
+
+    monkeypatch.setattr(PairObjective, "entries", entries)
+    monkeypatch.setattr(PairObjective, "moved", moved)
     optimize(o0, o1, OptimizerConfig(seed=0, restarts=50, max_iters=2))
-    # Three stacks per restart, and the best map's report.
+    # Three stacks per restart, and the best map's report; at n = 64 the
+    # last two of each restart are single rows rescored by ``moved``.
     assert sum(a[0] for a, _ in shapes) == 50 * 3 + 1
     assert all(a[0] == b[0] for a, b in shapes)
     # One map pair per call is the least a call can score.
