@@ -18,6 +18,8 @@ from .utility import UtilityVector
 
 MOTOR = Alphabet(("L", "R"))
 SENSOR = Alphabet(("left-end", "middle", "right-end"))
+# Longest corridor built: its two transition matrices take 8 MiB each.
+MAX_LENGTH = 1024
 
 
 @dataclass(frozen=True)
@@ -25,8 +27,8 @@ class CorridorSpec:
     length: int
 
     def __post_init__(self):
-        if self.length < 2:
-            raise ValueError("corridor needs at least 2 locations")
+        if not 2 <= self.length <= MAX_LENGTH:
+            raise ValueError(f"corridor length must be in [2, {MAX_LENGTH}], got {self.length!r}")
 
 
 def build_corridor(spec: CorridorSpec) -> FiniteStateModel:

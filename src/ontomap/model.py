@@ -219,8 +219,9 @@ def load_json(source, what: str):
 
 
 def dump_json(doc) -> bytes:
-    """The one file encoding: UTF-8 JSON, indent 2, one trailing newline."""
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    """The one file encoding: UTF-8 JSON, indent 2, one trailing newline.
+    A NaN or infinity, which JSON cannot hold, raises ValueError."""
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _json_int(doc: dict, key: str) -> int:

@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import DEFAULT_POLICY, SmoothingPolicy, _fsums, _kl_entries, _segments, _smooth
-from .divergence import _smooth_column
+from .divergence import DEFAULT_POLICY, SmoothingPolicy, _fsums, _kl_entries, _smooth, _smooth_column
 from .divergence import kl_columns  # noqa: F401  (perfbench/spans.py wraps it here)
 from .model import FiniteStateModel, ModelFormatError, ModelValidationError, dump_json, load_json
 from .model import _matrix_from_rows, column_violations, validate_model
@@ -181,7 +180,9 @@ class PairObjective:
         # As a row, so that one map pair's entries need no broadcasting.
         self.p = np.concatenate([p[mask] for p, mask in zip(trues, masks)])[None]
         self.index = np.flatnonzero(np.concatenate(masks, axis=None))
-        self.segments = _segments(np.concatenate([np.count_nonzero(mask, axis=(1, 2)) for mask in masks]))
+        # Each term's (start, stop) in a row of entries.
+        stops = np.cumsum(np.concatenate([np.count_nonzero(mask, axis=(1, 2)) for mask in masks])).tolist()
+        self.segments = list(zip([0] + stops[:-1], stops))
         entries = sum(mask.size for mask in masks)
         #: Map pairs per ``entries`` call that keep it within MAX_STACK_ENTRIES.
         self.batch = max(1, MAX_STACK_ENTRIES // entries)
@@ -318,11 +319,6 @@ class PairObjective:
         for t in terms[m + 1 : 2 * m + 1]:
             backward += t
         return forward + terms[m] + backward + terms[2 * m + 1]
-
-    def totals(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[float]:
-        """The objective at each map pair of stacks (R, n0, n1) and
-        (R, n1, n0); each value equals ``total`` of that pair exactly."""
-        return self.exact_totals(self.entries(phi, phi_inv))
 
     def terms(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[float]:
         """Per-term values in report order: forward transition terms,

@@ -150,6 +150,10 @@ def test_oracle_command(tmp_path, capsys):
         "map {c2} {c2} --max-iters 0",
         "map {c2} {c2} --epsilon 0",
         "map {c2} {c2} --epsilon nan",
+        # Subnormal: p / q would overflow to inf.
+        "objective {c4} {c5} {map} --epsilon 1e-320",
+        # Rejected before anything is allocated.
+        "corridor --length 100000000",
         "objective {c4} {c5} {map_sum_09}",
         "translate {goal} {map_sum_09}",
         "translate {utility_nan} {map}",

@@ -3,7 +3,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ontomap.corridor import CorridorSpec, build_corridor, corridor_goal
+from ontomap.corridor import MAX_LENGTH, CorridorSpec, build_corridor, corridor_goal
 from ontomap.model import validate_model, write_model
 
 T4_LEFT = [
@@ -68,6 +68,12 @@ def test_length2_edge_case():
 def test_too_short_rejected():
     with pytest.raises(ValueError):
         CorridorSpec(1)
+
+
+def test_too_long_rejected():
+    # Checked in the spec, before build_corridor allocates anything.
+    with pytest.raises(ValueError):
+        CorridorSpec(MAX_LENGTH + 1)
 
 
 def test_goal_vectors():

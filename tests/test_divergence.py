@@ -1,19 +1,13 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ontomap.divergence
-from conftest import random_model
 from ontomap.corridor import CorridorSpec, build_corridor
-from ontomap.divergence import SmoothingPolicy, _fsums, _segments, kl_columns
-from ontomap.model import Alphabet
-from ontomap.objective import PairObjective
-from ontomap.optimizer import OptimizerConfig, optimize
-from ontomap.oracle import oracle_search
+from ontomap.divergence import SmoothingPolicy, _fsums, kl_columns
+from ontomap.objective import OntologyMap, evaluate
 
 
 def test_policy_range():
@@ -21,7 +15,19 @@ def test_policy_range():
         SmoothingPolicy(epsilon=0.0)
     with pytest.raises(ValueError):
         SmoothingPolicy(epsilon=0.01)
+    with pytest.raises(ValueError):
+        SmoothingPolicy(epsilon=1e-320)  # subnormal
     SmoothingPolicy(epsilon=1e-3)
+    SmoothingPolicy(epsilon=2.0**-1022)
+
+
+def test_smallest_epsilon_scores_finite():
+    # Each corridor4 state mapped to its mirror image leaves true-side
+    # entries against floored zeros; a subnormal floor let p / q overflow.
+    c4 = build_corridor(CorridorSpec(4))
+    mirror = np.eye(4)[::-1]
+    report = evaluate(c4, c4, OntologyMap(phi=mirror, phi_inv=mirror), SmoothingPolicy(epsilon=2.0**-1022))
+    assert math.isfinite(report.total)
 
 
 def test_identical_matrices_zero():
@@ -112,7 +118,7 @@ def _segment_entries(rng, family: str, rows: int, length: int) -> np.ndarray:
     """A (rows, length) block of one adversarial family of entries."""
     if family == "mixed":  # magnitudes from 1e-300 to 1e300
         return rng.standard_normal((rows, length)) * 10.0 ** rng.integers(-300, 301, (rows, length))
-    if family == "huge":  # sums near the largest float: extraction constants overflow
+    if family == "huge":  # sums near the largest float
         return rng.uniform(0.5, 1.0, (rows, length)) * (2.0**1022 / length)
     if family == "nonfinite":
         return rng.choice([math.inf, math.nan, 1.0], (rows, length), p=[0.01, 0.01, 0.98])
@@ -147,46 +153,13 @@ FAMILIES = ("mixed", "huge", "nonfinite", "zeros", "subnormal", "cancel", "ties"
     families=st.lists(st.sampled_from(FAMILIES), min_size=7, max_size=7),
 )
 def test_fsums_equal_math_fsum_bitwise(seed, rows, lengths, families):
-    # The extraction path (forced here at every size) must return exactly
-    # what math.fsum returns for each segment, sign of zero included.
+    # Each segment's sum is exactly what math.fsum returns for it, sign of
+    # zero included.
     rng = np.random.default_rng(seed)
     x = np.ascontiguousarray(
         np.concatenate([_segment_entries(rng, f, rows, n) for f, n in zip(families, lengths)], axis=1)
     )
-    seg = _segments(lengths)
-    want = [[math.fsum(row[a:b]).hex() for a, b in seg.slices] for row in x.tolist()]
-    with mock.patch.object(ontomap.divergence, "FSUM_LOOP_MAX_ENTRIES", 0):
-        got = _fsums(x, seg)
-    assert [[v.hex() for v in row] for row in got] == want
-    assert [[v.hex() for v in row] for row in _fsums(x, seg)] == want
-
-
-def test_extraction_rarely_falls_back(monkeypatch):
-    # Certified segments need no math.fsum call; on the entries of the
-    # oracle's grid maps and of a dense 16x32 climb at most 1 % of segments
-    # may fall back. The oracle and the climber sum few rows exactly, so
-    # every stack they score is summed here.
-    count = {"segments": 0, "fallbacks": 0}
-    real_entries, real_fsum = PairObjective.entries, math.fsum
-
-    def counting_fsum(values):
-        count["fallbacks"] += 1
-        return real_fsum(values)
-
-    def summing_entries(self, phi, phi_inv):
-        x = real_entries(self, phi, phi_inv)
-        count["segments"] += x.shape[0] * len(self.segments.slices)
-        with mock.patch.object(math, "fsum", counting_fsum):
-            _fsums(x, self.segments)
-        return x
-
-    monkeypatch.setattr(ontomap.divergence, "FSUM_LOOP_MAX_ENTRIES", 0)
-    monkeypatch.setattr(PairObjective, "entries", summing_entries)
-    c2 = build_corridor(CorridorSpec(2))
-    oracle_search(c2, c2, 0.1)
-    rng = np.random.default_rng(0)
-    motor, sensor = Alphabet(("a", "b")), Alphabet(("s1", "s2", "s3"))
-    o0, o1 = random_model(rng, 16, motor, sensor), random_model(rng, 32, motor, sensor)
-    optimize(o0, o1, OptimizerConfig(seed=0, restarts=2, max_iters=300))
-    assert count["segments"] > 50_000
-    assert count["fallbacks"] <= 0.01 * count["segments"]
+    stops = np.cumsum(lengths).tolist()
+    slices = list(zip([0] + stops[:-1], stops))
+    want = [[math.fsum(row[a:b]).hex() for a, b in slices] for row in x.tolist()]
+    assert [[v.hex() for v in row] for row in _fsums(x, slices)] == want

@@ -11,6 +11,7 @@ from ontomap.model import (
     ModelFormatError,
     ModelValidationError,
     StateDistribution,
+    dump_json,
     observe,
     read_model,
     step,
@@ -134,6 +135,13 @@ def test_round_trip(corridor4):
         assert np.array_equal(again.transitions[x], corridor4.transitions[x])
     assert np.array_equal(again.output, corridor4.output)
     assert write_model(again) == data
+
+
+def test_dump_json_rejects_nonfinite():
+    # JSON has no NaN or infinity; json.dumps would write them as bare words.
+    for value in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            dump_json({"x": value})
 
 
 def test_read_rejects_nonstochastic(corridor4):

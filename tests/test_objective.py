@@ -185,8 +185,7 @@ def _alphabets(motor, sensor):
     return Alphabet(tuple(f"x{i}" for i in range(motor))), Alphabet(tuple(f"s{i}" for i in range(sensor)))
 
 
-# Small pairs take the fsum loop, large ones (above FSUM_LOOP_MAX_ENTRIES
-# positive true-side entries) the vectorised extraction.
+# Small pairs, and large ones with thousands of entries per term.
 _PAIR_STATES = st.one_of(st.integers(1, 8), st.integers(48, 64))
 
 
@@ -240,7 +239,8 @@ def test_totals_equal_total_exactly(seed, r, n0, n1, motor, sensor, epsilon):
     phi = np.stack([_sparse_stochastic(rng, n0, n1) for _ in range(r)])
     phi_inv = np.stack([_sparse_stochastic(rng, n1, n0) for _ in range(r)])
     kernel = PairObjective(o0, o1, epsilon)
-    assert kernel.totals(phi, phi_inv) == [kernel.total(phi[i], phi_inv[i]) for i in range(r)]
+    x = kernel.entries(phi, phi_inv)
+    assert kernel.exact_totals(x) == [kernel.total(phi[i], phi_inv[i]) for i in range(r)]
 
 
 def _entry_rows(rng, family: str, rows: int, n: int) -> np.ndarray:
