@@ -68,8 +68,8 @@ def kl_columns(p, q, policy: SmoothingPolicy = DEFAULT_POLICY) -> float:
     """Sum over columns of KL(p_col || q_col), in nats.
 
     p columns must be probability distributions; q need only be finite and
-    nonnegative (its columns are floored at policy.epsilon and renormalized). Always
-    finite; nonnegative up to O(epsilon * ln epsilon) smoothing slack.
+    nonnegative (its columns are floored at policy.epsilon and renormalized). Finite,
+    or ValueError; nonnegative up to O(epsilon * ln epsilon) smoothing slack.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -87,4 +87,8 @@ def kl_columns(p, q, policy: SmoothingPolicy = DEFAULT_POLICY) -> float:
     # math.fsum makes the result independent of term order, so identically
     # permuting the columns of both arguments changes nothing, exactly.
     mask = p > 0
-    return math.fsum(_kl_entries(p[mask], _smooth(q, policy.epsilon)[mask]))
+    with np.errstate(all="ignore"):
+        total = math.fsum(_kl_entries(p[mask], _smooth(q, policy.epsilon)[mask]))
+    if not math.isfinite(total):
+        raise ValueError("KL divergence overflows: an approximation column sum is too large for its floor")
+    return total

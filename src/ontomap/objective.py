@@ -14,7 +14,7 @@ side only: A0 @ phi against A1, and A1 @ phi_inv against A0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -86,17 +86,8 @@ class ObjectiveReport:
             + [self.backward_output_term]
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "forward_transition_terms": dict(self.forward_transition_terms),
-            "forward_output_term": self.forward_output_term,
-            "backward_transition_terms": dict(self.backward_transition_terms),
-            "backward_output_term": self.backward_output_term,
-        }
-
     def to_bytes(self) -> bytes:
-        return dump_json(self.to_dict())
+        return dump_json(asdict(self))
 
 
 def read_map(source) -> OntologyMap:
@@ -111,22 +102,6 @@ def read_map(source) -> OntologyMap:
 
 def write_map(mapping: OntologyMap) -> bytes:
     return dump_json({"phi": mapping.phi.tolist(), "phi_inv": mapping.phi_inv.tolist()})
-
-
-def _check_pair(o0: FiniteStateModel, o1: FiniteStateModel) -> None:
-    if o0.motor != o1.motor or o0.sensor != o1.sensor:
-        raise ValueError("models must share motor and sensor alphabets")
-    for m, name in ((o0, "o0"), (o1, "o1")):
-        violations = validate_model(m)
-        if violations:
-            raise ValueError(f"{name} is not a valid model: {violations[0]}")
-
-
-def _check_map_shape(o0: FiniteStateModel, o1: FiniteStateModel, mapping: OntologyMap) -> None:
-    if mapping.n0 != o0.n or mapping.n1 != o1.n:
-        raise ValueError(
-            f"map shape ({mapping.n0}, {mapping.n1}) does not match models ({o0.n}, {o1.n})"
-        )
 
 
 # Cap on the float64 entries of one stacked approximation: 16 384 entries
@@ -159,13 +134,19 @@ def _places(keep: np.ndarray) -> np.ndarray | None:
 class PairObjective:
     """The objective of one model pair, as a function of the map pair.
 
-    Built once per model pair: each model's transition matrices are stacked
-    in motor order, and the true side of every term is reduced to its
-    positive entries, in report order. Trusts its models and maps;
-    ``evaluate`` and ``optimize`` are the validated entry points.
+    Built once per model pair, which it checks: the models must share their
+    motor and sensor alphabets and be valid. Each model's transition
+    matrices are stacked in motor order, and the true side of every term is
+    reduced to its positive entries, in report order.
     """
 
     def __init__(self, o0: FiniteStateModel, o1: FiniteStateModel, epsilon: float):
+        if o0.motor != o1.motor or o0.sensor != o1.sensor:
+            raise ValueError("models must share motor and sensor alphabets")
+        for m, name in ((o0, "o0"), (o1, "o1")):
+            violations = validate_model(m)
+            if violations:
+                raise ValueError(f"{name} is not a valid model: {violations[0]}")
         self.motor = o0.motor.symbols
         self.epsilon = epsilon
         # Each side's transition stack and output matrix: side 0 is O0, whose
@@ -191,6 +172,12 @@ class PairObjective:
         # comparison takes the exact sums.
         k = self.p.shape[1] + 2 * len(self.motor) + 2
         self.radius_scale = 2 * k * 2.0**-53 if k <= 2**25 else np.inf
+
+    def check_map(self, mapping: OntologyMap) -> None:
+        """Raise ValueError unless ``mapping`` maps between this pair's states."""
+        n = tuple(a.shape[1] for a in self.a)  # the state counts of O0 and O1
+        if (mapping.n0, mapping.n1) != n:
+            raise ValueError(f"map shape ({mapping.n0}, {mapping.n1}) does not match models {n}")
 
     def entries(self, phi: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
         """The KL entries of each map pair in stacks of shape (R, n0, n1) and
@@ -349,6 +336,6 @@ def evaluate(
     policy: SmoothingPolicy = DEFAULT_POLICY,
 ) -> ObjectiveReport:
     """Evaluate the bisimulation objective; deterministic for fixed inputs."""
-    _check_pair(o0, o1)
-    _check_map_shape(o0, o1, mapping)
-    return PairObjective(o0, o1, policy.epsilon).report(mapping.phi, mapping.phi_inv)
+    objective = PairObjective(o0, o1, policy.epsilon)
+    objective.check_map(mapping)
+    return objective.report(mapping.phi, mapping.phi_inv)

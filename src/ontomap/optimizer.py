@@ -14,13 +14,14 @@ moved column changes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divergence import DEFAULT_POLICY, SmoothingPolicy
 from .model import FiniteStateModel
-from .objective import ObjectiveReport, OntologyMap, PairObjective, _check_map_shape, _check_pair
+from .objective import ObjectiveReport, OntologyMap, PairObjective
 from .objective import evaluate  # noqa: F401  (perfbench/spans.py wraps it here)
 
 INITIAL_STEP = 0.5
@@ -37,10 +38,14 @@ class OptimizerConfig:
     policy: SmoothingPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        for name, least in (("seed", 0), ("restarts", 1), ("max_iters", 1)):
+            value = getattr(self, name)
+            try:
+                ok = not isinstance(value, bool) and operator.index(value) >= least
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -157,12 +162,11 @@ def _climb(
                 for (i, j, _), row, before in zip(batch, new, old):
                     mat[i, :, j] = row
                     undo[i] = (m, j, before)
-        if single:
-            x_new = [objective.moved(phi[i], phi_inv[i], *undo[i][:2], x[i]) for i in range(len(live))]
-            new_bounds = [b for row in x_new for b in intervals(*objective.float_totals(row[None]))]
+        if single:  # a group of one restart
+            x_new = objective.moved(phi[0], phi_inv[0], *undo[0][:2], x[0])[None]
         else:
             x_new = objective.entries(phi, phi_inv)
-            new_bounds = intervals(*objective.float_totals(x_new))
+        new_bounds = intervals(*objective.float_totals(x_new))
         for i, (lo, hi) in enumerate(new_bounds):
             c = None
             if hi < bounds[i][0]:
@@ -198,11 +202,11 @@ def hill_climb(
     """Climb from ``start``; returns (map, report, iterations used).
 
     The returned map's total never exceeds the start's, and the sequence of
-    accepted totals is strictly decreasing. Trusts its models: ``optimize``
-    is the validated entry point.
+    accepted totals is strictly decreasing. Raises ValueError for an
+    invalid model pair or a start of the wrong shape.
     """
-    _check_map_shape(o0, o1, start)
     objective = PairObjective(o0, o1, config.policy.epsilon)
+    objective.check_map(start)
     [(phi, phi_inv, _, iters, _, _)] = _climb(objective, [start], [rng], config.max_iters)
     result = OntologyMap(phi=phi, phi_inv=phi_inv)
     return result, objective.report(result.phi, result.phi_inv), iters
@@ -224,7 +228,6 @@ def optimize(
     Fully deterministic given the config; ties between restarts break
     toward the lowest restart index.
     """
-    _check_pair(o0, o1)
     objective = PairObjective(o0, o1, config.policy.epsilon)
     outcomes = []
     best = None

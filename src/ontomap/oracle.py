@@ -14,7 +14,7 @@ import numpy as np
 
 from .divergence import DEFAULT_POLICY, SmoothingPolicy
 from .model import FiniteStateModel
-from .objective import OntologyMap, PairObjective, _check_pair
+from .objective import OntologyMap, PairObjective
 
 MAX_FREE_PARAMETERS = 6
 # Cap on the map pairs of one grid; at the default resolution 0.05 the
@@ -81,7 +81,6 @@ def oracle_search(
     totals are taken only where certified intervals cannot rule a point
     out.
     """
-    _check_pair(o0, o1)
     n0, n1 = o0.n, o1.n
     if free_parameters(n0, n1) > MAX_FREE_PARAMETERS:
         raise ValueError(
@@ -90,9 +89,9 @@ def oracle_search(
         )
     steps, n_phi, n_inv = _grid(n0, n1, resolution)
     n_points = n_phi * n_inv
+    objective = PairObjective(o0, o1, policy.epsilon)
     phi_cols = _grid_columns(n0, steps)
     phi_inv_cols = _grid_columns(n1, steps)
-    objective = PairObjective(o0, o1, policy.epsilon)
     best_total = np.inf
     best = None
     for first in range(0, n_points, objective.batch):
@@ -129,9 +128,9 @@ def grid_step_variation(
     entries within a single column; used as the tolerance when comparing
     the oracle's best against the optimizer's.
     """
-    _check_pair(o0, o1)
     _grid_steps(resolution)
     objective = PairObjective(o0, o1, policy.epsilon)
+    objective.check_map(mapping)
     base = objective.total(mapping.phi, mapping.phi_inv)
     worst = 0.0
     for which in ("phi", "phi_inv"):

@@ -148,6 +148,7 @@ def test_oracle_command(tmp_path, capsys):
     [
         "map {c2} {c2} --restarts 0",
         "map {c2} {c2} --max-iters 0",
+        "map {c2} {c2} --seed -1",
         "map {c2} {c2} --epsilon 0",
         "map {c2} {c2} --epsilon nan",
         # Subnormal: p / q would overflow to inf.

@@ -115,3 +115,23 @@ def test_file_readers(data, kind, token):
     text = json.dumps(doc).replace('"@@"', token)
     with pytest.raises(ValueError):
         reader(text)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        # The floored zero renormalises to ~1e-309, so p / q overflows.
+        ([[1.0], [0.0]], [[0.0], [1e300]]),
+        # The column sum overflows.
+        ([[0.5], [0.5]], [[1e308], [1e308]]),
+    ],
+)
+def test_kl_columns_overflow_raises(p, q):
+    with pytest.raises(ValueError, match="overflows"):
+        kl_columns(p, q)
+
+
+def test_kl_columns_large_finite_unchanged():
+    # Finite results keep their bits: the floored zero renormalises to
+    # ~1e-308, and p / q stays finite.
+    assert kl_columns([[1.0], [0.0]], [[0.0], [1e299]]) == 709.1962086421661

@@ -7,8 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import left_sum, permuted_copy, published_corridor_map, random_model, reference_terms
+from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.model import Alphabet, FiniteStateModel
 from ontomap.objective import OntologyMap, PairObjective, evaluate, read_map, write_map
+from ontomap.optimizer import OptimizerConfig, hill_climb, optimize
+from ontomap.oracle import grid_step_variation, oracle_search
 
 # Objective of the published corridor 4<->5 map under this implementation,
 # frozen at first computation as a regression constant.
@@ -83,6 +86,50 @@ def test_dimension_mismatch_rejected(corridor4, corridor5):
     mapping = OntologyMap(phi=np.eye(4), phi_inv=np.eye(4))
     with pytest.raises(ValueError):
         evaluate(corridor4, corridor5, mapping)
+
+
+def _bad_pair(kind: str):
+    """A 2-state corridor against a copy spoiled in one way."""
+    c2 = build_corridor(CorridorSpec(2))
+    motor, sensor, trans, output = c2.motor, c2.sensor, dict(c2.transitions), c2.output
+    if kind == "motor":
+        motor = Alphabet(("L", "X"))
+        trans = {"L": trans["L"], "X": trans["R"]}
+    elif kind == "sensor":
+        sensor = Alphabet(("a", "b", "c"))
+    elif kind == "off_simplex":
+        trans["L"] = np.array([[0.9, 1.0], [0.0, 0.0]])  # column 1 sums to 0.9
+    else:
+        output = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
+    spoiled = FiniteStateModel(n=2, motor=motor, sensor=sensor, transitions=trans, output=output)
+    return (c2, spoiled) if kind in ("motor", "nan") else (spoiled, c2)
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("motor", "share motor and sensor"),
+        ("sensor", "share motor and sensor"),
+        ("off_simplex", "o0 is not a valid model"),
+        ("nan", "o1 is not a valid model"),
+    ],
+)
+def test_every_entry_point_rejects_bad_pairs(kind, message):
+    # Each entry point builds a PairObjective, which checks its pair before
+    # anything is scored: no KeyError, and no total for an invalid pair.
+    o0, o1 = _bad_pair(kind)
+    mapping = OntologyMap(phi=np.full((2, 2), 0.5), phi_inv=np.full((2, 2), 0.5))
+    config = OptimizerConfig(restarts=1, max_iters=5)
+    calls = [
+        lambda: evaluate(o0, o1, mapping),
+        lambda: optimize(o0, o1, config),
+        lambda: hill_climb(o0, o1, mapping, config, np.random.default_rng(0)),
+        lambda: oracle_search(o0, o1, resolution=0.5),
+        lambda: grid_step_variation(o0, o1, mapping, resolution=0.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_map_round_trip():

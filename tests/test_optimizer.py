@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,10 +31,18 @@ def one_state_model():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iters=0)
+    # Integers only: 2.5 would make range() fail late and nan would stop a
+    # climb at once; numpy's SeedSequence refuses a negative or float seed.
+    bad = [("restarts", 0), ("max_iters", 0), ("seed", -1)]
+    bad += [(f, v) for f in ("seed", "restarts", "max_iters") for v in (2.5, math.nan, True, "3", None)]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+
+
+def test_config_accepts_integer_types():
+    config = OptimizerConfig(seed=np.int64(3), restarts=np.int32(2), max_iters=np.uint8(5))
+    assert optimize(one_state_model(), one_state_model(), config).per_restart[1].iterations == 5
 
 
 def test_random_map_trivial_case():
