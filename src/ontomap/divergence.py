@@ -52,9 +52,11 @@ def _smooth_column(q: np.ndarray, j: int, epsilon: float) -> np.ndarray:
     return qf / np.add.accumulate(qf, axis=-1)[..., -1:]
 
 
-def _kl_entries(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-entry KL contributions of positive true entries ``p``."""
-    return p * np.log(p / q)
+def _kl_entries(p: np.ndarray, p1: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-entry KL contributions of true entries ``p``, where ``p1`` is
+    ``p`` with a positive guard in place of each zero: a zero then scores
+    0 * log(p1 / q), which is 0 while p1 / q is finite and nonzero."""
+    return p * np.log(p1 / q)
 
 
 def _fsums(x: np.ndarray, slices: list[tuple[int, int]]) -> list[list[float]]:
@@ -86,9 +88,11 @@ def kl_columns(p, q, policy: SmoothingPolicy = DEFAULT_POLICY) -> float:
         raise ValueError("approximation matrix has non-finite or negative entries")
     # math.fsum makes the result independent of term order, so identically
     # permuting the columns of both arguments changes nothing, exactly.
+    # Positive entries only: q's columns may sum far above 1, and then the
+    # guard's p1 / q of a zero could overflow.
     mask = p > 0
     with np.errstate(all="ignore"):
-        total = math.fsum(_kl_entries(p[mask], _smooth(q, policy.epsilon)[mask]))
+        total = math.fsum(_kl_entries(p[mask], p[mask], _smooth(q, policy.epsilon)[mask]))
     if not math.isfinite(total):
         raise ValueError("KL divergence overflows: an approximation column sum is too large for its floor")
     return total

@@ -15,8 +15,6 @@ side only: A0 @ phi against A1, and A1 @ phi_inv against A0.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -110,34 +108,13 @@ def write_map(mapping: OntologyMap) -> bytes:
 MAX_STACK_ENTRIES = 16384
 
 
-class _Moves(NamedTuple):
-    """Index tables for ``PairObjective.moved``, one entry per side (0 when
-    a column of phi moves, 1 when a column of phi_inv moves).
-
-    ``columns[side][j]`` holds the row positions of the entries in column j
-    of the side's transition terms and then of its output term, their
-    places in that column of the side's approximations, and their
-    true-side values. ``spans[side]`` holds the row range of the other
-    side's transition terms, their places in its flattened transition
-    stack, and their true-side values. A place list is None where it would
-    take every place in order, as it does for a model without zeros.
-    """
-
-    columns: tuple[list[tuple[np.ndarray, np.ndarray | None, np.ndarray]], ...]
-    spans: tuple[tuple[slice, np.ndarray | None, np.ndarray], ...]
-
-
-def _places(keep: np.ndarray) -> np.ndarray | None:
-    return None if keep.all() else np.flatnonzero(keep)
-
-
 class PairObjective:
     """The objective of one model pair, as a function of the map pair.
 
     Built once per model pair, which it checks: the models must share their
     motor and sensor alphabets and be valid. Each model's transition
-    matrices are stacked in motor order, and the true side of every term is
-    reduced to its positive entries, in report order.
+    matrices are stacked in motor order, and a row of entries scores every
+    entry of the four term blocks, in report order.
     """
 
     def __init__(self, o0: FiniteStateModel, o1: FiniteStateModel, epsilon: float):
@@ -157,16 +134,18 @@ class PairObjective:
         # True sides as stacks of terms, in the order terms() approximates
         # them: T1^x for each x, A1, T0^x for each x, A0.
         trues = (self.t[1], self.a[1][None], self.t[0], self.a[0][None])
-        masks = [p > 0 for p in trues]
         # As a row, so that one map pair's entries need no broadcasting.
-        self.p = np.concatenate([p[mask] for p, mask in zip(trues, masks)])[None]
-        self.index = np.flatnonzero(np.concatenate(masks, axis=None))
+        self.p = np.concatenate(trues, axis=None)[None]
+        # The zero guard: a true-side zero scores 0 * log(1 / q) = +0.0, as
+        # 0 * log 0 = 0 asks. A kernel approximation column sums to 1 up to
+        # rounding and is floored at epsilon >= 2**-1022, so q is at most 1
+        # and 1 / q at most ~2**1022: the log is finite and nonnegative.
+        self.p1 = np.where(self.p > 0, self.p, 1.0)
         # Each term's (start, stop) in a row of entries.
-        stops = np.cumsum(np.concatenate([np.count_nonzero(mask, axis=(1, 2)) for mask in masks])).tolist()
+        stops = np.cumsum([term.size for block in trues for term in block]).tolist()
         self.segments = list(zip([0] + stops[:-1], stops))
-        entries = sum(mask.size for mask in masks)
         #: Map pairs per ``entries`` call that keep it within MAX_STACK_ENTRIES.
-        self.batch = max(1, MAX_STACK_ENTRIES // entries)
+        self.batch = max(1, MAX_STACK_ENTRIES // self.p.shape[1])
         # k = N + 2m + 2 for N entries per pair and m motor symbols; the
         # bound in ``float_totals`` holds for k <= 2**25, beyond which every
         # comparison takes the exact sums.
@@ -181,8 +160,8 @@ class PairObjective:
 
     def entries(self, phi: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
         """The KL entries of each map pair in stacks of shape (R, n0, n1) and
-        (R, n1, n0), as an (R, N) matrix: one column per positive true-side
-        entry, in the order of the terms."""
+        (R, n1, n0), as an (R, N) matrix: one column per entry of the four
+        term blocks, in the order of the terms."""
         r = len(phi)
         maps = (phi, phi_inv)
         q = np.concatenate(
@@ -192,8 +171,8 @@ class PairObjective:
                 for b in (self._transitions(side, phi, phi_inv), self.a[side] @ maps[side])
             ],
             axis=1,
-        ).take(self.index, axis=1)
-        return _kl_entries(self.p, q)
+        )
+        return _kl_entries(self.p, self.p1, q)
 
     def _transitions(self, side: int, phi: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
         """The transition approximations of side 0 (phi_inv @ T0^x @ phi)
@@ -201,38 +180,6 @@ class PairObjective:
         approximations are A0 @ phi and A1 @ phi_inv."""
         right, left = (phi, phi_inv)[side], (phi_inv, phi)[side]
         return left[:, None] @ self.t[side] @ right[:, None]
-
-    @cached_property
-    def _moves(self) -> _Moves:
-        # Built on a climber's first move, so evaluate, the oracle and
-        # stacked climbs never pay for it.
-        m, k = len(self.motor), self.a[0].shape[0]
-        n = (self.t[1].shape[-1], self.t[0].shape[-1])  # columns of phi, of phi_inv
-        # The four blocks entries() gathers from: each side's transition
-        # stack (m, n, n), then its output matrix (k, n).
-        offsets = np.cumsum([0] + [size for s in (0, 1) for size in (m * n[s] * n[s], k * n[s])])
-        rows = np.full(offsets[-1], -1)  # the row position of each gathered entry
-        rows[self.index] = np.arange(len(self.index))
-        columns, spans = [], []
-        for side, other in ((0, 1), (1, 0)):
-            # Places of column 0: transition entries in (x, i) order, then
-            # output entries; column j's are j further on.
-            column0 = np.concatenate(
-                (
-                    offsets[2 * side] + np.arange(m * n[side]) * n[side],
-                    offsets[2 * side + 1] + np.arange(k) * n[side],
-                )
-            )
-            table = []
-            for j in range(n[side]):
-                pos = rows[column0 + j]
-                keep = pos >= 0
-                table.append((pos[keep], _places(keep), self.p[0, pos[keep]]))
-            columns.append(table)
-            start, stop = np.searchsorted(self.index, offsets[2 * other : 2 * other + 2])
-            keep = rows[offsets[2 * other] : offsets[2 * other + 1]] >= 0
-            spans.append((slice(start, stop), _places(keep), self.p[0, start:stop]))
-        return _Moves(tuple(columns), tuple(spans))
 
     def moved(self, phi: np.ndarray, phi_inv: np.ndarray, side: int, j: int, x: np.ndarray) -> np.ndarray:
         """The entries row of the map pair (phi, phi_inv), whose column j of
@@ -248,15 +195,21 @@ class PairObjective:
         ``entries(phi[None], phi_inv[None])[0]`` bit for bit.
         """
         eps = self.epsilon
-        pos, take, p = self._moves.columns[side][j]
-        span, span_take, span_p = self._moves.spans[side]
         maps = (phi[None], phi_inv[None])
         trans, out = self._transitions(side, *maps), self.a[side] @ maps[side]
         q = np.concatenate((_smooth_column(trans, j, eps), _smooth_column(out, j, eps)), axis=None)
         whole = _smooth(self._transitions(1 - side, *maps), eps).reshape(-1)
-        row = x.copy()
-        row[span] = _kl_entries(span_p, whole if span_take is None else whole.take(span_take))
-        row[pos] = _kl_entries(p, q if take is None else q.take(take))
+        # A row holds side 0's transition and output blocks, then side 1's.
+        # A side's two blocks read as one (m * n + k, n) matrix, so column j
+        # of both takes every n-th entry from the side's j-th.
+        n, split = out.shape[-1], self.t[1].size + self.a[1].size
+        if side == 0:
+            column, other = slice(j, split, n), slice(split, split + whole.size)
+        else:
+            column, other = slice(split + j, None, n), slice(0, whole.size)
+        p, p1, row = self.p[0], self.p1[0], x.copy()
+        row[column] = _kl_entries(p[column], p1[column], q)
+        row[other] = _kl_entries(p[other], p1[other], whole)
         return row
 
     def float_totals(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

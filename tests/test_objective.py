@@ -275,7 +275,7 @@ _STATES = st.one_of(st.integers(1, 8), st.integers(16, 40))
     n1=_STATES,
     motor=st.integers(1, 3),
     sensor=st.integers(1, 4),
-    epsilon=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    epsilon=st.sampled_from([2.0**-1022, 1e-9, 1e-6, 1e-3]),
 )
 def test_totals_equal_total_exactly(seed, r, n0, n1, motor, sensor, epsilon):
     # A stack scores each of its map pairs bit for bit as a single call
@@ -365,7 +365,7 @@ _MOVE_STATES = st.one_of(st.integers(1, 40), st.integers(48, 64))
     n1=_MOVE_STATES,
     motor=st.integers(1, 3),
     sensor=st.integers(1, 4),
-    epsilon=st.sampled_from([1e-9, 1e-3]),
+    epsilon=st.sampled_from([2.0**-1022, 1e-9, 1e-3]),
     sparse_models=st.booleans(),
     sparse_maps=st.booleans(),
 )
@@ -384,7 +384,10 @@ def test_moved_rows_equal_entries(seed, n0, n1, motor, sensor, epsilon, sparse_m
     kernel = PairObjective(model(rng, n0, mot, sen), model(rng, n1, mot, sen), epsilon)
     phi = np.stack([_map_column(rng, n0, sparse_maps) for _ in range(n1)], axis=1)
     phi_inv = np.stack([_map_column(rng, n1, sparse_maps) for _ in range(n0)], axis=1)
+    # A true-side zero scores exactly +0.0 (0 * log 0 = 0) on either path.
+    zero = kernel.p[0] == 0
     x = kernel.entries(phi[None], phi_inv[None])[0]
+    assert x[zero].tobytes() == bytes(8 * zero.sum())
     moves = [(0, j) for j in range(n1)] + [(1, j) for j in range(n0)]
     for k in rng.permutation(len(moves)):
         side, j = moves[k]
@@ -392,6 +395,7 @@ def test_moved_rows_equal_entries(seed, n0, n1, motor, sensor, epsilon, sparse_m
         mat[:, j] = _map_column(rng, len(mat), sparse_maps)
         x = kernel.moved(phi, phi_inv, side, j, x)
         assert x.tobytes() == kernel.entries(phi[None], phi_inv[None])[0].tobytes()
+        assert x[zero].tobytes() == bytes(8 * zero.sum())
     # The moved row's certified interval holds its exact total.
     a, r = kernel.float_totals(x[None])
     [c] = kernel.exact_totals(x[None])
