@@ -79,6 +79,8 @@ def kl_columns(p, q, policy: SmoothingPolicy = DEFAULT_POLICY) -> float:
         p = p[:, None]
     if q.ndim == 1:
         q = q[:, None]
+    if p.ndim != 2 or q.ndim != 2:
+        raise ValueError(f"expected vectors or matrices, got shapes {p.shape} and {q.shape}")
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     violations = column_violations("true side", p)

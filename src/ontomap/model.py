@@ -58,11 +58,12 @@ class StateDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float).reshape(-1)
+        p = _freeze(self.probs)
+        if p.ndim != 1:
+            raise ValueError(f"distribution must be a vector, got shape {p.shape}")
         violations = column_violations("distribution", p[:, None])
         if violations:
             raise ModelValidationError(violations)
-        p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
     def __len__(self) -> int:
@@ -79,7 +80,8 @@ class StateDistribution:
         return cls(np.full(n, 1.0 / n))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a) -> np.ndarray:
+    """A read-only float copy of ``a``: the caller's array cannot change it."""
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a

@@ -10,6 +10,11 @@ Note on the output terms: conjugating A0 by phi_inv on the left is
 dimensionally impossible (phi_inv maps state distributions, not sensor
 distributions), so the output comparisons compose the maps on the state
 side only: A0 @ phi against A1, and A1 @ phi_inv against A0.
+
+``PairObjective`` owns the question "which total is lower": ``bounds``
+gives each row of entries a certified interval around its total, and
+``exact_totals`` the correctly rounded totals that settle the rows whose
+intervals overlap. ``report`` scores a single map pair.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from .divergence import DEFAULT_POLICY, SmoothingPolicy, _fsums, _kl_entries, _smooth, _smooth_column
 from .divergence import kl_columns  # noqa: F401  (perfbench/spans.py wraps it here)
 from .model import FiniteStateModel, ModelFormatError, ModelValidationError, dump_json, load_json
-from .model import _matrix_from_rows, column_violations, validate_model
+from .model import _freeze, _matrix_from_rows, column_violations, validate_model
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,7 @@ class OntologyMap:
     phi_inv: np.ndarray
 
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=float)
-        phi_inv = np.array(self.phi_inv, dtype=float)
+        phi, phi_inv = _freeze(self.phi), _freeze(self.phi_inv)
         for name, m in (("phi", phi), ("phi_inv", phi_inv)):
             if m.ndim != 2:
                 raise ValueError(f"{name} must be a matrix")
@@ -48,8 +52,6 @@ class OntologyMap:
             raise ValueError(
                 f"phi is {phi.shape} but phi_inv is {phi_inv.shape}; expected transposed shapes"
             )
-        phi.flags.writeable = False
-        phi_inv.flags.writeable = False
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "phi_inv", phi_inv)
 
@@ -131,8 +133,8 @@ class PairObjective:
         # columns; side 1 is O1, whose approximations move with phi_inv's.
         self.t = tuple(np.stack([o.transitions[x] for x in self.motor]) for o in (o0, o1))
         self.a = (o0.output, o1.output)
-        # True sides as stacks of terms, in the order terms() approximates
-        # them: T1^x for each x, A1, T0^x for each x, A0.
+        # True sides as stacks of terms, in report order: T1^x for each x,
+        # A1, T0^x for each x, A0.
         trues = (self.t[1], self.a[1][None], self.t[0], self.a[0][None])
         # As a row, so that one map pair's entries need no broadcasting.
         self.p = np.concatenate(trues, axis=None)[None]
@@ -147,7 +149,7 @@ class PairObjective:
         #: Map pairs per ``entries`` call that keep it within MAX_STACK_ENTRIES.
         self.batch = max(1, MAX_STACK_ENTRIES // self.p.shape[1])
         # k = N + 2m + 2 for N entries per pair and m motor symbols; the
-        # bound in ``float_totals`` holds for k <= 2**25, beyond which every
+        # bound in ``bounds`` holds for k <= 2**25, beyond which every
         # comparison takes the exact sums.
         k = self.p.shape[1] + 2 * len(self.motor) + 2
         self.radius_scale = 2 * k * 2.0**-53 if k <= 2**25 else np.inf
@@ -212,10 +214,11 @@ class PairObjective:
         row[other] = _kl_entries(p[other], p1[other], whole)
         return row
 
-    def float_totals(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each row of entries ``x`` (from ``entries``), its float sum
-        ``a`` and a radius ``r`` with |a - c| <= r / 2, where c is exactly
-        what ``exact_totals`` returns for that row.
+    def bounds(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each row of entries ``x`` (from ``entries``), the certified
+        interval (lo, hi) = (a - r, a + r) around c, exactly what
+        ``exact_totals`` returns for that row: ``a`` is the row's float sum
+        and the radius ``r`` has |a - c| <= r / 2.
 
         Proof, with u = 2**-53, gamma_j = j * u / (1 - j * u), N entries per
         row, m motor symbols, S the exact sum of a row and s = sum |x_i|:
@@ -239,10 +242,11 @@ class PairObjective:
           the computed a - r at most c. Additions, and exact sums of
           subnormals, round relatively or not at all.
 
-        A non-finite entry makes ``a`` or ``r`` non-finite, so no
-        comparison of the interval [a - r, a + r] can settle.
+        A non-finite entry makes ``a`` or ``r`` non-finite, and so lo or hi
+        NaN or infinite: no comparison of such an interval can settle.
         """
-        return x.sum(axis=1), np.abs(x).sum(axis=1) * self.radius_scale + 2.0**-1069
+        a, r = x.sum(axis=1), np.abs(x).sum(axis=1) * self.radius_scale + 2.0**-1069
+        return a - r, a + r
 
     def exact_totals(self, x: np.ndarray) -> list[float]:
         """The objective of each row of entries ``x`` (from ``entries``):
@@ -260,18 +264,9 @@ class PairObjective:
             backward += t
         return forward + terms[m] + backward + terms[2 * m + 1]
 
-    def terms(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[float]:
-        """Per-term values in report order: forward transition terms,
-        forward output, backward transition terms, backward output."""
-        return _fsums(self.entries(phi[None], phi_inv[None]), self.segments)[0]
-
-    def total(self, phi: np.ndarray, phi_inv: np.ndarray) -> float:
-        """The objective's value at (phi, phi_inv)."""
-        return self._sum(self.terms(phi, phi_inv))
-
     def report(self, phi: np.ndarray, phi_inv: np.ndarray) -> ObjectiveReport:
         """The objective at (phi, phi_inv) with its per-term breakdown."""
-        terms = self.terms(phi, phi_inv)
+        terms = _fsums(self.entries(phi[None], phi_inv[None]), self.segments)[0]
         m = len(self.motor)
         return ObjectiveReport(
             total=self._sum(terms),

@@ -9,7 +9,7 @@ consecutive rejections and the climb stops once it falls below
 results do not depend on execution order: ``optimize`` climbs them in
 lock-step and scores all their proposals in one batched objective call,
 or, for map pairs too large to stack, rescores only what each proposal's
-moved column changes.
+moved column changes. Totals are compared through certified intervals.
 """
 
 from __future__ import annotations
@@ -97,9 +97,9 @@ def _climb(
     Each restart draws from its rng exactly as a climb on its own would
     (a column, then that column's noise) and keeps its own step, rejection
     count and stop test. A candidate is accepted when its total is below
-    the current one. The certified intervals of ``float_totals`` settle
-    that comparison when they do not overlap; otherwise both exact totals
-    are taken, the current one from its stored entries.
+    the current one. The certified intervals of ``bounds`` settle that
+    comparison when they do not overlap; otherwise ``exact_totals`` sums
+    both rows, the current one from its stored entries.
 
     Candidates are scored in one ``entries`` call, unless the kernel takes
     one map pair per call (``objective.batch == 1``): then each candidate
@@ -115,15 +115,10 @@ def _climb(
     single = objective.batch == 1
     phi = np.stack([s.phi for s in starts])
     phi_inv = np.stack([s.phi_inv for s in starts])
-
-    def intervals(a, r):
-        return [(u - v, u + v) for u, v in zip(a.tolist(), r.tolist())]
-
-    # Each restart's current state: its entries row, their certified
-    # interval (lo, hi), and its exact total once one has been taken.
+    # Each restart's current state: its entries row and their certified
+    # interval [lo, hi].
     x = objective.entries(phi, phi_inv)
-    bounds = intervals(*objective.float_totals(x))
-    exact = [None] * len(starts)
+    lo, hi = (b.tolist() for b in objective.bounds(x))
     step = [INITIAL_STEP] * len(starts)
     rejections = [0] * len(starts)
     accepted = [0] * len(starts)
@@ -136,14 +131,13 @@ def _climb(
             if iters < max_iters and s >= MIN_STEP:
                 keep.append(i)
             else:
-                if exact[i] is None:
-                    [exact[i]] = objective.exact_totals(x[i : i + 1])
+                [total] = objective.exact_totals(x[i : i + 1])
                 stop = "min_step" if s < MIN_STEP else "max_iters"
-                done[live[i]] = (phi[i], phi_inv[i], exact[i], iters, accepted[i], stop)
+                done[live[i]] = (phi[i], phi_inv[i], total, iters, accepted[i], stop)
         if len(keep) < len(live):
             phi, phi_inv, x = phi[keep], phi_inv[keep], x[keep]
-            bounds, exact, step, rejections, accepted, live = (
-                [v[i] for i in keep] for v in (bounds, exact, step, rejections, accepted, live)
+            lo, hi, step, rejections, accepted, live = (
+                [v[i] for i in keep] for v in (lo, hi, step, rejections, accepted, live)
             )
             continue
         iters += 1
@@ -166,20 +160,17 @@ def _climb(
             x_new = objective.moved(phi[0], phi_inv[0], *undo[0][:2], x[0])[None]
         else:
             x_new = objective.entries(phi, phi_inv)
-        new_bounds = intervals(*objective.float_totals(x_new))
-        for i, (lo, hi) in enumerate(new_bounds):
-            c = None
-            if hi < bounds[i][0]:
+        new_lo, new_hi = (b.tolist() for b in objective.bounds(x_new))
+        for i in range(len(live)):
+            if new_hi[i] < lo[i]:
                 better = True
-            elif lo >= bounds[i][1]:
+            elif new_lo[i] >= hi[i]:
                 better = False
             else:  # overlapping or non-finite intervals: exact totals decide
-                [c] = objective.exact_totals(x_new[i][None])
-                if exact[i] is None:
-                    [exact[i]] = objective.exact_totals(x[i : i + 1])
-                better = c < exact[i]
+                new, cur = objective.exact_totals(np.stack((x_new[i], x[i])))
+                better = new < cur
             if better:
-                x[i], bounds[i], exact[i] = x_new[i], (lo, hi), c
+                x[i], lo[i], hi[i] = x_new[i], new_lo[i], new_hi[i]
                 rejections[i] = 0
                 accepted[i] += 1
                 continue

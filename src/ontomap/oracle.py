@@ -78,8 +78,8 @@ def oracle_search(
 
     Ties keep the first grid point in enumeration order: phi outer,
     phi_inv inner, each in ``product`` order of its grid columns. Exact
-    totals are taken only where certified intervals cannot rule a point
-    out.
+    totals are taken only where the certified intervals of
+    ``PairObjective.bounds`` cannot rule a point out.
     """
     n0, n1 = o0.n, o1.n
     if free_parameters(n0, n1) > MAX_FREE_PARAMETERS:
@@ -102,8 +102,8 @@ def oracle_search(
         # bound can hold the chunk's first minimum below best_total; a NaN
         # bound makes every row a candidate, as the exact argmin would see it.
         x = objective.entries(phi, phi_inv)
-        a, r = objective.float_totals(x)
-        candidates = np.flatnonzero(~(a - r > min((a + r).min(), best_total)))
+        lo, hi = objective.bounds(x)
+        candidates = np.flatnonzero(~(lo > min(hi.min(), best_total)))
         if not len(candidates):
             continue
         totals = objective.exact_totals(x[candidates])
@@ -131,7 +131,7 @@ def grid_step_variation(
     _grid_steps(resolution)
     objective = PairObjective(o0, o1, policy.epsilon)
     objective.check_map(mapping)
-    base = objective.total(mapping.phi, mapping.phi_inv)
+    base = objective.report(mapping.phi, mapping.phi_inv).total
     worst = 0.0
     for which in ("phi", "phi_inv"):
         mat = getattr(mapping, which)
@@ -146,6 +146,6 @@ def grid_step_variation(
                     target = phi if which == "phi" else phi_inv
                     target[a, j] -= resolution
                     target[b, j] += resolution
-                    total = objective.total(phi, phi_inv)
+                    total = objective.report(phi, phi_inv).total
                     worst = max(worst, abs(total - base))
     return worst

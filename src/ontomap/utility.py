@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelFormatError, _json_int, _json_numbers, dump_json, load_json
+from .model import ModelFormatError, _freeze, _json_int, _json_numbers, dump_json, load_json
 from .objective import OntologyMap
 
 
@@ -22,10 +22,11 @@ class UtilityVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        v = _freeze(self.values)
+        if v.ndim != 1:
+            raise ValueError(f"utility values must be a vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("utility values must be finite")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:

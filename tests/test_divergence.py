@@ -53,6 +53,11 @@ def test_two_column_hand_value():
 def test_shape_mismatch():
     with pytest.raises(ValueError):
         kl_columns(np.eye(2), np.eye(3))
+    # Only vectors and matrices are columns of distributions: a scalar, or
+    # a stack of matrices whose entries would score 0, is refused.
+    for bad in (np.float64(1.0), np.full((2, 2, 2), 0.5)):
+        with pytest.raises(ValueError, match="vectors or matrices"):
+            kl_columns(bad, bad)
 
 
 def test_true_side_must_be_distribution():

@@ -37,8 +37,20 @@ def test_state_distribution_invariants():
         StateDistribution([0.5, 0.4])
     with pytest.raises(ValueError):
         StateDistribution([1.5, -0.5])
+    # A matrix or a scalar is not a distribution over states, even when
+    # its entries would sum to 1.
+    for not_vector in (np.eye(2) / 2, 1.0):
+        with pytest.raises(ValueError, match="vector"):
+            StateDistribution(not_vector)
     d = StateDistribution.point_mass(3, 1)
     assert d.probs.tolist() == [0.0, 1.0, 0.0]
+    # The distribution holds a copy: changing the caller's array later
+    # changes nothing.
+    source = np.array([0.25, 0.75])
+    d = StateDistribution(source)
+    source[0] = 7.0
+    assert d.probs.tolist() == [0.25, 0.75]
+    assert not d.probs.flags.writeable
 
 
 def test_validate_corridor4_clean(corridor4):

@@ -255,13 +255,12 @@ def test_kernel_equals_kl_columns_exactly(seed, n0, n1, motor, sensor, epsilon):
     phi_inv = _sparse_stochastic(rng, n1, n0)
     kernel = PairObjective(o0, o1, epsilon)
     want = reference_terms(o0, o1, phi, phi_inv, epsilon)
-    assert kernel.terms(phi, phi_inv) == want
-    fwd, fwd_out = want[:motor], want[motor]
-    bwd, bwd_out = want[motor + 1 : 2 * motor + 1], want[2 * motor + 1]
-    assert kernel.total(phi, phi_inv) == left_sum(fwd) + fwd_out + left_sum(bwd) + bwd_out
     report = kernel.report(phi, phi_inv)
     assert report.terms() == want
-    assert report.total == kernel.total(phi, phi_inv)
+    fwd, fwd_out = want[:motor], want[motor]
+    bwd, bwd_out = want[motor + 1 : 2 * motor + 1], want[2 * motor + 1]
+    assert report.total == left_sum(fwd) + fwd_out + left_sum(bwd) + bwd_out
+    assert kernel.exact_totals(kernel.entries(phi[None], phi_inv[None])) == [report.total]
 
 
 _STATES = st.one_of(st.integers(1, 8), st.integers(16, 40))
@@ -287,7 +286,13 @@ def test_totals_equal_total_exactly(seed, r, n0, n1, motor, sensor, epsilon):
     phi_inv = np.stack([_sparse_stochastic(rng, n1, n0) for _ in range(r)])
     kernel = PairObjective(o0, o1, epsilon)
     x = kernel.entries(phi, phi_inv)
-    assert kernel.exact_totals(x) == [kernel.total(phi[i], phi_inv[i]) for i in range(r)]
+    assert kernel.exact_totals(x) == [kernel.report(phi[i], phi_inv[i]).total for i in range(r)]
+
+
+def _float_sum_and_radius(kernel: PairObjective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float sum ``a`` and radius ``r`` of each row, as the proof in
+    ``PairObjective.bounds`` defines them."""
+    return x.sum(axis=1), np.abs(x).sum(axis=1) * kernel.radius_scale + 2.0**-1069
 
 
 def _entry_rows(rng, family: str, rows: int, n: int) -> np.ndarray:
@@ -324,15 +329,17 @@ def _entry_rows(rng, family: str, rows: int, n: int) -> np.ndarray:
     family=st.sampled_from(["mixed", "cancel", "subnormal", "nonfinite", "kl", "near-ties"]),
 )
 def test_float_totals_certify_exact_totals(seed, n0, n1, motor, rows, family):
-    # |a - c| <= r / 2 for every row, so a comparison that the intervals
-    # [a - r, a + r] settle agrees with the comparison of exact totals.
+    # The intervals of bounds() are [a - r, a + r] with |a - c| <= r / 2 for
+    # every row, so a comparison that they settle agrees with the comparison
+    # of exact totals.
     rng = np.random.default_rng(seed)
     mot, sen = _alphabets(motor, 2)
     kernel = PairObjective(_sparse_model(rng, n0, mot, sen), _sparse_model(rng, n1, mot, sen), 1e-9)
     x = np.ascontiguousarray(_entry_rows(rng, family, rows, kernel.p.shape[1]))
     with np.errstate(invalid="ignore"):  # inf - inf in non-finite rows
-        a, r = kernel.float_totals(x)
-        lo, hi = a - r, a + r
+        a, r = _float_sum_and_radius(kernel, x)
+        lo, hi = kernel.bounds(x)
+        assert (lo.tobytes(), hi.tobytes()) == ((a - r).tobytes(), (a + r).tobytes())
     # A non-finite row settles no comparison; the others are summed exactly.
     finite = np.isfinite(x).all(axis=1)
     c = [kernel.exact_totals(row[None])[0] if ok else None for row, ok in zip(x, finite)]
@@ -397,6 +404,8 @@ def test_moved_rows_equal_entries(seed, n0, n1, motor, sensor, epsilon, sparse_m
         assert x.tobytes() == kernel.entries(phi[None], phi_inv[None])[0].tobytes()
         assert x[zero].tobytes() == bytes(8 * zero.sum())
     # The moved row's certified interval holds its exact total.
-    a, r = kernel.float_totals(x[None])
+    a, r = _float_sum_and_radius(kernel, x[None])
+    lo, hi = kernel.bounds(x[None])
+    assert (lo.tobytes(), hi.tobytes()) == ((a - r).tobytes(), (a + r).tobytes())
     [c] = kernel.exact_totals(x[None])
     assert abs(Fraction(a[0]) - Fraction(c)) <= Fraction(r[0]) / 2

@@ -120,7 +120,7 @@ def test_hill_climb_matches_reference_objective(corridor4, corridor5, monkeypatc
     fast, _, fast_iters = climb()
 
     # The reference total of every map pair the climber scores, keyed by
-    # the entries the kernel computed for it; an infinite radius sends
+    # the entries the kernel computed for it; infinite intervals send
     # every comparison to the exact totals, which read these.
     m = len(corridor4.motor)
     reference = {}
@@ -133,14 +133,11 @@ def test_hill_climb_matches_reference_objective(corridor4, corridor5, monkeypatc
             reference[row.tobytes()] = left_sum(t[:m]) + t[m] + left_sum(t[m + 1 : 2 * m + 1]) + t[2 * m + 1]
         return x
 
-    def infinite_radius(self, x):
-        return x.sum(axis=1), np.full(len(x), np.inf)
-
     def reference_totals(self, x):
         return [reference[row.tobytes()] for row in x]
 
     monkeypatch.setattr(PairObjective, "entries", recording)
-    monkeypatch.setattr(PairObjective, "float_totals", infinite_radius)
+    _exact_only(monkeypatch)
     monkeypatch.setattr(PairObjective, "exact_totals", reference_totals)
     slow, _, slow_iters = climb()
     assert fast_iters == slow_iters
@@ -169,6 +166,17 @@ def _pair(n0, n1, seed):
     return random_model(rng, n0, MOTOR, SENSOR), random_model(rng, n1, MOTOR, SENSOR)
 
 
+def _exact_only(monkeypatch) -> None:
+    """Makes every certified interval (-inf, +inf), so that no comparison
+    settles on the intervals and every one takes the exact totals."""
+
+    def bounds(self, x):
+        inf = np.full(len(x), np.inf)
+        return -inf, inf
+
+    monkeypatch.setattr(PairObjective, "bounds", bounds)
+
+
 def _one_pair_per_call(monkeypatch) -> None:
     """Makes every kernel score one map pair per call (``batch == 1``), so
     that the climber rescores each move with ``PairObjective.moved``."""
@@ -182,7 +190,7 @@ def _scalar_climb(o0, o1, start, config, rng):
     eps = config.policy.epsilon
     objective = PairObjective(o0, o1, eps)
     phi, phi_inv = np.array(start.phi), np.array(start.phi_inv)
-    current = objective.total(phi, phi_inv)
+    current = objective.report(phi, phi_inv).total
     step, rejections, iters, accepted = INITIAL_STEP, 0, 0, 0
     while iters < config.max_iters and step >= MIN_STEP:
         iters += 1
@@ -193,7 +201,7 @@ def _scalar_climb(o0, o1, start, config, rng):
         logits -= logits.max()
         e = np.exp(logits)
         mat[:, j] = e / e.sum()
-        candidate = objective.total(phi, phi_inv)
+        candidate = objective.report(phi, phi_inv).total
         if candidate < current:
             current, rejections, accepted = candidate, 0, accepted + 1
         else:
@@ -315,8 +323,17 @@ LOCK_STEP_CASES = [
 ]
 
 
+def _assert_same_climbs(a, b) -> None:
+    """The two optimize results end every restart alike and pick the same
+    best map, byte for byte."""
+    assert a.per_restart == b.per_restart
+    assert a.best_map.phi.tobytes() == b.best_map.phi.tobytes()
+    assert a.best_map.phi_inv.tobytes() == b.best_map.phi_inv.tobytes()
+    assert a.best_report.to_bytes() == b.best_report.to_bytes()
+
+
 @pytest.mark.parametrize("shape, config", LOCK_STEP_CASES)
-def test_lock_step_matches_sequential_climbs(corridor4, corridor5, shape, config):
+def test_lock_step_matches_sequential_climbs(corridor4, corridor5, shape, config, monkeypatch):
     # optimize climbs its restarts together; each must end exactly where a
     # climb of that restart alone, from the same stream, ends.
     o0, o1 = (corridor4, corridor5) if shape == "corridor" else _pair(*shape, 1)
@@ -335,6 +352,10 @@ def test_lock_step_matches_sequential_climbs(corridor4, corridor5, shape, config
     if shape == (1, 2):
         iters = [o.iterations for o in res.per_restart]
         assert max(iters) < config.max_iters and len(set(iters)) == len(iters)
+    # With every comparison taken on exact totals, each summed from the
+    # current row, the group ends where the interval filter ends it.
+    _exact_only(monkeypatch)
+    _assert_same_climbs(optimize(o0, o1, config), res)
 
 
 @pytest.mark.parametrize("shape, config", LOCK_STEP_CASES)
@@ -344,11 +365,10 @@ def test_moved_path_matches_stacked_path(corridor4, corridor5, shape, config, mo
     o0, o1 = (corridor4, corridor5) if shape == "corridor" else _pair(*shape, 1)
     stacked = optimize(o0, o1, config)
     _one_pair_per_call(monkeypatch)
-    moved = optimize(o0, o1, config)
-    assert moved.per_restart == stacked.per_restart
-    assert moved.best_map.phi.tobytes() == stacked.best_map.phi.tobytes()
-    assert moved.best_map.phi_inv.tobytes() == stacked.best_map.phi_inv.tobytes()
-    assert moved.best_report.to_bytes() == stacked.best_report.to_bytes()
+    _assert_same_climbs(optimize(o0, o1, config), stacked)
+    # And so does the moved path with every comparison taken exactly.
+    _exact_only(monkeypatch)
+    _assert_same_climbs(optimize(o0, o1, config), stacked)
 
 
 @pytest.mark.parametrize(

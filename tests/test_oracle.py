@@ -151,7 +151,7 @@ def _first_strict_minimum(o0, o1, resolution):
     for phi_cols in product(_grid_columns(o0.n, steps), repeat=o1.n):
         for inv_cols in product(_grid_columns(o1.n, steps), repeat=o0.n):
             phi, phi_inv = np.stack(phi_cols, axis=1), np.stack(inv_cols, axis=1)
-            total = objective.total(phi, phi_inv)
+            total = objective.report(phi, phi_inv).total
             totals.append(total)
             if total < best_total:
                 best, best_total = (phi, phi_inv), total

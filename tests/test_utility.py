@@ -13,6 +13,17 @@ from ontomap.utility import UtilityVector, read_utility, translate, write_utilit
 def test_rejects_nonfinite():
     with pytest.raises(ValueError):
         UtilityVector([1.0, float("nan")])
+    # A matrix or a scalar is not a utility per state.
+    for not_vector in (np.ones((2, 2)), 1.0):
+        with pytest.raises(ValueError, match="vector"):
+            UtilityVector(not_vector)
+    # The utility holds a copy, so it stays finite when the caller's array
+    # turns NaN after validation.
+    source = np.array([1.0, 2.0])
+    u = UtilityVector(source)
+    source[0] = np.nan
+    assert u.values.tolist() == [1.0, 2.0]
+    assert not u.values.flags.writeable
 
 
 def test_corridor_goal_through_published_map():
