@@ -41,14 +41,32 @@ def _print_matrices(*named: tuple[str, np.ndarray]) -> None:
             print("  " + "  ".join(f"{v:8.3g}" for v in row))
 
 
+def _environment() -> dict:
+    """What the output bytes depend on beyond the inputs and configuration:
+    the numpy version, the BLAS numpy was built against (where numpy
+    reports it) and the CPU features numpy dispatches to on this machine."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):  # numpy < 1.25 only prints its build
+        blas = None
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    dispatch = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return {"numpy": np.__version__, "blas": blas, "cpu_dispatch": dispatch}
+
+
 def _write_outputs(args: argparse.Namespace, files: dict[str, bytes], **inputs) -> None:
     """Write ``files`` into ``args.out`` with a manifest of the command's
-    inputs and configuration."""
+    inputs, configuration and environment."""
     manifest = {"command": args.command, **inputs}
     for key in ("seed", "restarts", "max_iters", "epsilon"):
         if hasattr(args, key):
             manifest[key] = getattr(args, key)
     manifest["outputs"] = sorted(files)
+    manifest["environment"] = _environment()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, data in files.items():
@@ -84,6 +102,11 @@ def cmd_map(args) -> int:
         ("phi @ phi_inv", mapping.phi @ mapping.phi_inv),
         ("phi_inv @ phi", mapping.phi_inv @ mapping.phi),
     )
+    for o in result.per_restart:
+        print(
+            f"restart {o.restart}: total {o.final_total:.6g}, {o.iterations} iterations, "
+            f"{o.accepted} accepted, stopped on {o.stop}"
+        )
     print(f"objective total: {result.best_report.total:.6g}")
     files = {"map.json": write_map(mapping), "report.json": result.best_report.to_bytes()}
     _write_outputs(args, files, o0=args.o0, o1=args.o1)

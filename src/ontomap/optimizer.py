@@ -7,9 +7,11 @@ improving moves are accepted; the step is halved after ``PATIENCE``
 consecutive rejections and the climb stops once it falls below
 ``MIN_STEP``. Restarts draw from independent, seed-derived RNG streams, so
 results do not depend on execution order: ``optimize`` climbs them in
-lock-step and scores all their proposals in one batched objective call,
-or, for map pairs too large to stack, rescores only what each proposal's
-moved column changes. Totals are compared through certified intervals.
+lock-step. Each round scores a window of every restart's next proposals
+in one batched objective call, on the assumption that each is rejected,
+and keeps the ones up to the first acceptance; for map pairs too large to
+stack, it rescores only what each proposal's moved column changes. Totals
+are compared through certified intervals.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ INITIAL_STEP = 0.5
 STEP_DECAY = 0.5
 PATIENCE = 200
 MIN_STEP = 1e-6
+FIRST_WINDOW = 4  # proposals per restart and round, at the start and after an acceptance
 
 
 @dataclass(frozen=True)
@@ -96,90 +99,145 @@ def _climb(
 
     Each restart draws from its rng exactly as a climb on its own would
     (a column, then that column's noise) and keeps its own step, rejection
-    count and stop test. A candidate is accepted when its total is below
-    the current one. The certified intervals of ``bounds`` settle that
-    comparison when they do not overlap; otherwise ``exact_totals`` sums
-    both rows, the current one from its stored entries.
+    count, iteration count and stop test. A candidate is accepted when its
+    total is below the current one. The certified intervals of ``bounds``
+    settle that comparison when they do not overlap; otherwise
+    ``exact_totals`` sums both rows, the current one from its stored
+    entries.
 
-    Candidates are scored in one ``entries`` call, unless the kernel takes
-    one map pair per call (``objective.batch == 1``): then each candidate
-    is rescored from its restart's current row by ``moved``, which gives
-    the same row bit for bit, so the same moves are accepted. Returns (phi,
+    The climb goes in rounds, each scoring a window of every restart's
+    next proposals in one ``entries`` call (speculative moves, or
+    pre-fetching: Brockwell 2006). Proposal t of a window is built from the
+    restart's current maps with the step it has after t rejections, as if
+    every earlier one were rejected. The windows are walked in order; the
+    first acceptance ends a window, and the draws of the proposals after it
+    stay queued for the next round. So each restart consumes its draws and
+    accepts its moves exactly as a climb of one proposal per iteration
+    does. A window holds FIRST_WINDOW proposals at the start and after an
+    acceptance, and doubles after a window without one, within
+    ``objective.window`` proposals per restart and ``objective.batch`` per
+    round. It ends at the restart's last iteration and before its step
+    would decay, so it never draws past the restart's stop and its
+    proposals share one step.
+
+    When the kernel takes one map pair per call (``objective.batch ==
+    1``), a window holds one proposal, rescored from its restart's current
+    row by ``moved``, which gives the same row bit for bit. Returns (phi,
     phi_inv, total, iterations, accepted moves, stop reason) per restart,
     with the exact total; the stop reason is "min_step" once the step has
     fallen below MIN_STEP, and "max_iters" otherwise.
     """
     n0, n1 = starts[0].n0, starts[0].n1
     n_cols = n1 + n0  # phi has n1 columns, phi_inv has n0
+    # A column of phi is every n1-th entry of a map, one of phi_inv every n0-th.
+    columns = (np.arange(n0) * n1, np.arange(n1) * n0)
     eps = objective.epsilon
     single = objective.batch == 1
-    phi = np.stack([s.phi for s in starts])
-    phi_inv = np.stack([s.phi_inv for s in starts])
+    maps = (np.stack([s.phi for s in starts]), np.stack([s.phi_inv for s in starts]))
     # Each restart's current state: its entries row and their certified
     # interval [lo, hi].
-    x = objective.entries(phi, phi_inv)
+    x = objective.entries(*maps)
     lo, hi = (b.tolist() for b in objective.bounds(x))
-    step = [INITIAL_STEP] * len(starts)
-    rejections = [0] * len(starts)
-    accepted = [0] * len(starts)
-    live = list(range(len(starts)))  # restart index of each stack entry
-    done = [None] * len(starts)
-    iters = 0
+    count = len(starts)
+    step = [INITIAL_STEP] * count
+    rejections = [0] * count
+    accepted = [0] * count
+    iters = [0] * count
+    window = [FIRST_WINDOW] * count
+    drawn = [[] for _ in range(count)]  # draws not yet consumed: (matrix, column, noise)
+    live = list(range(count))  # restart index of each stack entry
+    done = [None] * count
     while live:
-        keep = []
-        for i, s in enumerate(step):
-            if iters < max_iters and s >= MIN_STEP:
-                keep.append(i)
-            else:
-                [total] = objective.exact_totals(x[i : i + 1])
-                stop = "min_step" if s < MIN_STEP else "max_iters"
-                done[live[i]] = (phi[i], phi_inv[i], total, iters, accepted[i], stop)
-        if len(keep) < len(live):
-            phi, phi_inv, x = phi[keep], phi_inv[keep], x[keep]
-            lo, hi, step, rejections, accepted, live = (
-                [v[i] for i in keep] for v in (lo, hi, step, rejections, accepted, live)
-            )
-            continue
-        iters += 1
-        # Changed columns, gathered as rows of one batch per matrix.
-        batches = ([], [])  # (stack entry, column, noise)
-        for i, r in enumerate(live):
-            k = int(rngs[r].integers(n_cols))
-            m, j = (0, k) if k < n1 else (1, k - n1)
-            batches[m].append((i, j, rngs[r].standard_normal(n1 if m else n0)))
-        undo = {}
-        for m, (mat, batch) in enumerate(zip((phi, phi_inv), batches)):
-            if batch:
-                old = np.array([mat[i, :, j] for i, j, _ in batch])
-                steps = np.array([step[i] for i, _, _ in batch])
-                new = _perturb_rows(old, steps, eps, np.array([z for _, _, z in batch]))
-                for (i, j, _), row, before in zip(batch, new, old):
-                    mat[i, :, j] = row
-                    undo[i] = (m, j, before)
-        if single:  # a group of one restart
-            x_new = objective.moved(phi[0], phi_inv[0], *undo[0][:2], x[0])[None]
+        # Each restart's window: its next proposals, each built from its
+        # current maps as if every earlier one were rejected. A window ends
+        # before the step would decay, so its proposals share one step.
+        cap = min(objective.window, objective.batch // len(live))
+        props = []  # (matrix, column, noise) of each row
+        steps = []  # the step of each row
+        sizes = []  # the rows of each restart's window
+        for i, queue in enumerate(drawn):
+            w = window[i]
+            if w > cap:
+                w = cap
+            if w > max_iters - iters[i]:
+                w = max_iters - iters[i]
+            if w > PATIENCE - rejections[i]:
+                w = PATIENCE - rejections[i]
+            while len(queue) < w:
+                k = int(rngs[i].integers(n_cols))
+                m, j = (0, k) if k < n1 else (1, k - n1)
+                queue.append((m, j, rngs[i].standard_normal(n1 if m else n0)))
+            props += queue[:w]
+            steps += [step[i]] * w
+            sizes.append(w)
+        # Each row is a copy of its restart's current maps with one column
+        # moved (``repeat`` costs more than ``copy`` when no window is longer).
+        if len(props) > len(sizes):
+            rows = (np.repeat(maps[0], sizes, axis=0), np.repeat(maps[1], sizes, axis=0))
         else:
-            x_new = objective.entries(phi, phi_inv)
+            rows = (maps[0].copy(), maps[1].copy())
+        for m in (0, 1):
+            picked = [k for k, p in enumerate(props) if p[0] == m]
+            if picked:
+                # The flat indices of each picked row's moved column.
+                at = np.array([k * n0 * n1 + props[k][1] for k in picked])[:, None] + columns[m]
+                flat = rows[m].reshape(-1)
+                noise = np.array([props[k][2] for k in picked])
+                flat[at] = _perturb_rows(flat[at], np.array([steps[k] for k in picked]), eps, noise)
+        if single:  # a group of one restart
+            m, j, _ = props[0]
+            x_new = objective.moved(rows[0][0], rows[1][0], m, j, x[0])[None]
+        else:
+            x_new = objective.entries(*rows)
         new_lo, new_hi = (b.tolist() for b in objective.bounds(x_new))
-        for i in range(len(live)):
-            if new_hi[i] < lo[i]:
-                better = True
-            elif new_lo[i] >= hi[i]:
-                better = False
-            else:  # overlapping or non-finite intervals: exact totals decide
-                new, cur = objective.exact_totals(np.stack((x_new[i], x[i])))
-                better = new < cur
-            if better:
-                x[i], lo[i], hi[i] = x_new[i], new_lo[i], new_hi[i]
-                rejections[i] = 0
-                accepted[i] += 1
-                continue
-            m, j, before = undo[i]
-            (phi, phi_inv)[m][i, :, j] = before
-            rejections[i] += 1
-            if rejections[i] >= PATIENCE:
-                step[i] *= STEP_DECAY
-                rejections[i] = 0
+        # Walk each window in order up to its first acceptance; the draws
+        # of the rows after it stay queued for the next round.
+        first, stopped = 0, False
+        for i, w in enumerate(sizes):
+            for k in range(first, first + w):
+                if new_hi[k] < lo[i]:
+                    better = True
+                elif new_lo[k] >= hi[i]:
+                    better = False
+                else:  # overlapping or non-finite intervals: exact totals decide
+                    a, c = objective.exact_totals(np.stack((x_new[k], x[i])))
+                    better = a < c
+                if better:
+                    m, j, _ = props[k]
+                    maps[m][i, :, j] = rows[m][k, :, j]
+                    x[i], lo[i], hi[i] = x_new[k], new_lo[k], new_hi[k]
+                    rejections[i] = 0
+                    accepted[i] += 1
+                    window[i] = FIRST_WINDOW
+                    used = k + 1 - first
+                    break
+            else:  # every proposal rejected
+                used = w
+                rejections[i] += w
+                if rejections[i] == PATIENCE:
+                    step[i] *= STEP_DECAY
+                    rejections[i] = 0
+                    stopped = stopped or step[i] < MIN_STEP
+                window[i] = 2 * w
+            iters[i] += used
+            if iters[i] == max_iters:
+                stopped = True
+            del drawn[i][:used]
+            first += w
+        if stopped:
+            keep = []
+            for i, s in enumerate(step):
+                if iters[i] < max_iters and s >= MIN_STEP:
+                    keep.append(i)
+                else:
+                    [total] = objective.exact_totals(x[i : i + 1])
+                    stop = "min_step" if s < MIN_STEP else "max_iters"
+                    done[live[i]] = (maps[0][i], maps[1][i], total, iters[i], accepted[i], stop)
+            maps, x = (maps[0][keep], maps[1][keep]), x[keep]
+            lo, hi, step, rejections, accepted, iters, window, drawn, rngs, live = (
+                [v[i] for i in keep]
+                for v in (lo, hi, step, rejections, accepted, iters, window, drawn, rngs, live)
+            )
     return done
 
 

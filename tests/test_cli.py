@@ -9,6 +9,7 @@ from ontomap.cli import main
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.model import read_model, write_model
 from ontomap.objective import read_map, write_map
+from ontomap.optimizer import OptimizerConfig, optimize
 from ontomap.utility import read_utility, write_utility, UtilityVector
 
 
@@ -94,6 +95,36 @@ def test_map_command_reproducible(corridor_files, tmp_path, capsys):
     assert (out_a / "map.json").read_bytes() == (out_b / "map.json").read_bytes()
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
+
+
+def test_map_command_reports_each_restart(corridor_files, tmp_path, capsys):
+    # One line per restart: its final total, iterations, accepted moves and
+    # why it stopped. report.json keeps the best map's report alone.
+    p4, p5 = corridor_files
+    out = tmp_path / "run"
+    argv = ["map", str(p4), str(p5), "--seed", "1", "--restarts", "3", "--max-iters", "200"]
+    assert main(argv + ["--out", str(out)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("restart ")]
+    o0, o1 = read_model(p4.read_bytes()), read_model(p5.read_bytes())
+    result = optimize(o0, o1, OptimizerConfig(seed=1, restarts=3, max_iters=200))
+    assert printed == [
+        f"restart {o.restart}: total {o.final_total:.6g}, {o.iterations} iterations, "
+        f"{o.accepted} accepted, stopped on {o.stop}"
+        for o in result.per_restart
+    ]
+    assert (out / "report.json").read_bytes() == result.best_report.to_bytes()
+
+
+def test_manifest_records_environment(corridor_files, tmp_path, capsys):
+    # The bytes of a run depend on the numpy build and the CPU features it
+    # dispatches to, so the manifest records them.
+    p4, p5 = corridor_files
+    out = tmp_path / "run"
+    assert main(["map", str(p4), str(p5), "--restarts", "1", "--max-iters", "5", "--out", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+    assert all(isinstance(f, str) for f in env["cpu_dispatch"])
 
 
 def test_objective_command(corridor_files, tmp_path, capsys):
