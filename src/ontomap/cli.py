@@ -26,6 +26,7 @@ from .model import (
 )
 from .objective import evaluate, read_map, write_map
 from .optimizer import OptimizerConfig, optimize
+from .oracle import oracle_search
 from .utility import read_utility, translate, write_utility
 
 EXIT_OK = 0
@@ -150,8 +151,6 @@ def cmd_corridor(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import oracle_search
-
     o0 = read_model(Path(args.o0).read_bytes())
     o1 = read_model(Path(args.o1).read_bytes())
     mapping, total = oracle_search(

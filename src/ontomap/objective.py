@@ -108,12 +108,6 @@ def write_map(mapping: OntologyMap) -> bytes:
 # (128 KiB) keep a batch's temporaries in cache; larger stacks page-fault
 # more than batching saves. Callers split their stacks by ``batch``.
 MAX_STACK_ENTRIES = 16384
-# Cap on the float64 entries of the proposals one restart of the climber
-# scores per round. A row after the round's first acceptance is wasted;
-# windows paid off on dense pairs of 1 120 entries (16 x 16 models, up to
-# three proposals per restart) but not of 2 704 (16 x 32), which this cap
-# keeps at one.
-MAX_WINDOW_ENTRIES = 4096
 
 
 class PairObjective:
@@ -154,8 +148,6 @@ class PairObjective:
         self.segments = list(zip([0] + stops[:-1], stops))
         #: Map pairs per ``entries`` call that keep it within MAX_STACK_ENTRIES.
         self.batch = max(1, MAX_STACK_ENTRIES // self.p.shape[1])
-        #: Map pairs per restart and round of the climber (MAX_WINDOW_ENTRIES).
-        self.window = max(1, MAX_WINDOW_ENTRIES // self.p.shape[1])
         # k = N + 2m + 2 for N entries per pair and m motor symbols; the
         # bound in ``bounds`` holds for k <= 2**25, beyond which every
         # comparison takes the exact sums.

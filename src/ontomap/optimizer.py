@@ -31,6 +31,12 @@ STEP_DECAY = 0.5
 PATIENCE = 200
 MIN_STEP = 1e-6
 FIRST_WINDOW = 4  # proposals per restart and round, at the start and after an acceptance
+# Cap on the float64 entries of the proposals one restart of the climber
+# scores per round. A row after the round's first acceptance is wasted;
+# windows paid off on dense pairs of 1 120 entries (16 x 16 models, up to
+# three proposals per restart) but not of 2 704 (16 x 32), which this cap
+# keeps at one.
+MAX_WINDOW_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -103,22 +109,23 @@ def _climb(
     total is below the current one. The certified intervals of ``bounds``
     settle that comparison when they do not overlap; otherwise
     ``exact_totals`` sums both rows, the current one from its stored
-    entries.
+    entries. Every restart keeps its slot (its index in ``starts``) from
+    start to end; a restart that stops just leaves the live ones.
 
-    The climb goes in rounds, each scoring a window of every restart's
-    next proposals in one ``entries`` call (speculative moves, or
-    pre-fetching: Brockwell 2006). Proposal t of a window is built from the
-    restart's current maps with the step it has after t rejections, as if
-    every earlier one were rejected. The windows are walked in order; the
-    first acceptance ends a window, and the draws of the proposals after it
-    stay queued for the next round. So each restart consumes its draws and
-    accepts its moves exactly as a climb of one proposal per iteration
-    does. A window holds FIRST_WINDOW proposals at the start and after an
-    acceptance, and doubles after a window without one, within
-    ``objective.window`` proposals per restart and ``objective.batch`` per
-    round. It ends at the restart's last iteration and before its step
-    would decay, so it never draws past the restart's stop and its
-    proposals share one step.
+    The climb goes in rounds, each scoring a window of every live
+    restart's next proposals in one ``entries`` call (speculative moves,
+    or pre-fetching: Brockwell 2006). Proposal t of a window is built from
+    the restart's current maps with the step it has after t rejections, as
+    if every earlier one were rejected. The windows are walked in order;
+    the first acceptance ends a window, and the draws of the proposals
+    after it stay queued for the next round. So each restart consumes its
+    draws and accepts its moves exactly as a climb of one proposal per
+    iteration does. A window holds FIRST_WINDOW proposals at the start and
+    after an acceptance, and doubles after a window without one, within
+    MAX_WINDOW_ENTRIES entries per restart and ``objective.batch`` map
+    pairs per round. It ends at the restart's last iteration and before
+    its step would decay, so it never draws past the restart's stop and
+    its proposals share one step.
 
     When the kernel takes one map pair per call (``objective.batch ==
     1``), a window holds one proposal, rescored from its restart's current
@@ -132,12 +139,12 @@ def _climb(
     # A column of phi is every n1-th entry of a map, one of phi_inv every n0-th.
     columns = (np.arange(n0) * n1, np.arange(n1) * n0)
     eps = objective.epsilon
-    single = objective.batch == 1
     maps = (np.stack([s.phi for s in starts]), np.stack([s.phi_inv for s in starts]))
     # Each restart's current state: its entries row and their certified
     # interval [lo, hi].
     x = objective.entries(*maps)
     lo, hi = (b.tolist() for b in objective.bounds(x))
+    most = max(1, MAX_WINDOW_ENTRIES // x.shape[1])  # the most proposals per restart and round
     count = len(starts)
     step = [INITIAL_STEP] * count
     rejections = [0] * count
@@ -145,37 +152,28 @@ def _climb(
     iters = [0] * count
     window = [FIRST_WINDOW] * count
     drawn = [[] for _ in range(count)]  # draws not yet consumed: (matrix, column, noise)
-    live = list(range(count))  # restart index of each stack entry
+    live = list(range(count))  # the restarts that have not stopped
     done = [None] * count
     while live:
         # Each restart's window: its next proposals, each built from its
         # current maps as if every earlier one were rejected. A window ends
         # before the step would decay, so its proposals share one step.
-        cap = min(objective.window, objective.batch // len(live))
+        cap = min(most, objective.batch // len(live))
         props = []  # (matrix, column, noise) of each row
-        steps = []  # the step of each row
-        sizes = []  # the rows of each restart's window
-        for i, queue in enumerate(drawn):
-            w = window[i]
-            if w > cap:
-                w = cap
-            if w > max_iters - iters[i]:
-                w = max_iters - iters[i]
-            if w > PATIENCE - rejections[i]:
-                w = PATIENCE - rejections[i]
+        owner = []  # the restart of each row
+        sizes = []  # (restart, rows) of each window
+        for i in live:
+            w = min(window[i], cap, max_iters - iters[i], PATIENCE - rejections[i])
+            queue = drawn[i]
             while len(queue) < w:
                 k = int(rngs[i].integers(n_cols))
                 m, j = (0, k) if k < n1 else (1, k - n1)
                 queue.append((m, j, rngs[i].standard_normal(n1 if m else n0)))
             props += queue[:w]
-            steps += [step[i]] * w
-            sizes.append(w)
-        # Each row is a copy of its restart's current maps with one column
-        # moved (``repeat`` costs more than ``copy`` when no window is longer).
-        if len(props) > len(sizes):
-            rows = (np.repeat(maps[0], sizes, axis=0), np.repeat(maps[1], sizes, axis=0))
-        else:
-            rows = (maps[0].copy(), maps[1].copy())
+            owner += [i] * w
+            sizes.append((i, w))
+        # Each row is a copy of its restart's current maps with one column moved.
+        rows = (maps[0].take(owner, axis=0), maps[1].take(owner, axis=0))
         for m in (0, 1):
             picked = [k for k, p in enumerate(props) if p[0] == m]
             if picked:
@@ -183,17 +181,18 @@ def _climb(
                 at = np.array([k * n0 * n1 + props[k][1] for k in picked])[:, None] + columns[m]
                 flat = rows[m].reshape(-1)
                 noise = np.array([props[k][2] for k in picked])
-                flat[at] = _perturb_rows(flat[at], np.array([steps[k] for k in picked]), eps, noise)
-        if single:  # a group of one restart
+                steps = np.array([step[owner[k]] for k in picked])
+                flat[at] = _perturb_rows(flat[at], steps, eps, noise)
+        if objective.batch == 1:  # one restart, one proposal
             m, j, _ = props[0]
-            x_new = objective.moved(rows[0][0], rows[1][0], m, j, x[0])[None]
+            x_new = objective.moved(rows[0][0], rows[1][0], m, j, x[owner[0]])[None]
         else:
             x_new = objective.entries(*rows)
         new_lo, new_hi = (b.tolist() for b in objective.bounds(x_new))
         # Walk each window in order up to its first acceptance; the draws
         # of the rows after it stay queued for the next round.
-        first, stopped = 0, False
-        for i, w in enumerate(sizes):
+        first = 0
+        for i, w in sizes:
             for k in range(first, first + w):
                 if new_hi[k] < lo[i]:
                     better = True
@@ -217,27 +216,15 @@ def _climb(
                 if rejections[i] == PATIENCE:
                     step[i] *= STEP_DECAY
                     rejections[i] = 0
-                    stopped = stopped or step[i] < MIN_STEP
                 window[i] = 2 * w
             iters[i] += used
-            if iters[i] == max_iters:
-                stopped = True
             del drawn[i][:used]
             first += w
-        if stopped:
-            keep = []
-            for i, s in enumerate(step):
-                if iters[i] < max_iters and s >= MIN_STEP:
-                    keep.append(i)
-                else:
-                    [total] = objective.exact_totals(x[i : i + 1])
-                    stop = "min_step" if s < MIN_STEP else "max_iters"
-                    done[live[i]] = (maps[0][i], maps[1][i], total, iters[i], accepted[i], stop)
-            maps, x = (maps[0][keep], maps[1][keep]), x[keep]
-            lo, hi, step, rejections, accepted, iters, window, drawn, rngs, live = (
-                [v[i] for i in keep]
-                for v in (lo, hi, step, rejections, accepted, iters, window, drawn, rngs, live)
-            )
+            if iters[i] == max_iters or step[i] < MIN_STEP:
+                [total] = objective.exact_totals(x[i : i + 1])
+                stop = "min_step" if step[i] < MIN_STEP else "max_iters"
+                done[i] = (maps[0][i], maps[1][i], total, iters[i], accepted[i], stop)
+                live.remove(i)
     return done
 
 

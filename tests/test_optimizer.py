@@ -339,6 +339,7 @@ def test_rounds_score_several_iterations_per_call(corridor4, corridor5, monkeypa
     assert len(calls) < config.max_iters / 2
 
 
+MIN_STEP_STOPS = OptimizerConfig(seed=0, restarts=4, max_iters=20000)
 LOCK_STEP_CASES = [
     ("corridor", OptimizerConfig(seed=0, restarts=6, max_iters=1500)),
     ((2, 3), OptimizerConfig(seed=1, restarts=5, max_iters=2000)),
@@ -347,7 +348,11 @@ LOCK_STEP_CASES = [
     ((17, 9), OptimizerConfig(seed=4, restarts=3, max_iters=200)),
     ((17, 17), OptimizerConfig(seed=5, restarts=2, max_iters=100)),
     # Restarts that stop on MIN_STEP, each at its own iteration.
-    ((1, 2), OptimizerConfig(seed=0, restarts=4, max_iters=20000)),
+    ((1, 2), MIN_STEP_STOPS),
+    # Restarts 0 and 1 stop on MIN_STEP (at 4 550 and 5 037 iterations), 2
+    # and 3 at max_iters: the best, restart 0, keeps its map through the
+    # other slots' remaining rounds.
+    ((1, 2), OptimizerConfig(seed=0, restarts=4, max_iters=5100)),
 ]
 
 
@@ -378,7 +383,7 @@ def test_lock_step_matches_sequential_climbs(corridor4, corridor5, shape, config
     assert res.best_map.phi.tobytes() == alone[best][0].phi.tobytes()
     assert res.best_map.phi_inv.tobytes() == alone[best][0].phi_inv.tobytes()
     assert res.best_report == alone[best][1]
-    if shape == (1, 2):
+    if config == MIN_STEP_STOPS:
         iters = [o.iterations for o in res.per_restart]
         assert max(iters) < config.max_iters and len(set(iters)) == len(iters)
         # Each climb stops on MIN_STEP having drawn exactly what the scalar
@@ -410,7 +415,7 @@ def test_moved_path_matches_stacked_path(corridor4, corridor5, shape, config, mo
     "shape, config, stop",
     [
         ("corridor", OptimizerConfig(seed=0, restarts=10, max_iters=2000), "max_iters"),
-        ((1, 2), OptimizerConfig(seed=0, restarts=4, max_iters=20000), "min_step"),
+        ((1, 2), MIN_STEP_STOPS, "min_step"),
     ],
 )
 def test_restarts_say_why_they_stopped(corridor4, corridor5, shape, config, stop):
