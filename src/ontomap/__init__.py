@@ -2,6 +2,8 @@
 optimizing a pair of stochastic maps under a column-KL bisimulation
 objective."""
 
+__version__ = "0.1.0"
+
 from .corridor import CorridorSpec, build_corridor, corridor_goal
 from .divergence import SmoothingPolicy, kl_columns
 from .model import (

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .corridor import CorridorSpec, build_corridor
 from .divergence import SmoothingPolicy
 from .model import (
@@ -44,8 +45,8 @@ def _print_matrices(*named: tuple[str, np.ndarray]) -> None:
 
 def _environment() -> dict:
     """What the output bytes depend on beyond the inputs and configuration:
-    the numpy version, the BLAS numpy was built against (where numpy
-    reports it) and the CPU features numpy dispatches to on this machine."""
+    the ontomap and numpy versions, the BLAS numpy was built against (where
+    numpy reports it) and the CPU features numpy dispatches to on this machine."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas["name"], "version": blas["version"]}
@@ -56,7 +57,7 @@ def _environment() -> dict:
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
     dispatch = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
-    return {"numpy": np.__version__, "blas": blas, "cpu_dispatch": dispatch}
+    return {"ontomap": __version__, "numpy": np.__version__, "blas": blas, "cpu_dispatch": dispatch}
 
 
 def _write_outputs(args: argparse.Namespace, files: dict[str, bytes], **inputs) -> None:

@@ -19,6 +19,7 @@ intervals overlap. ``report`` scores a single map pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -70,7 +71,8 @@ class OntologyMap:
 
 @dataclass(frozen=True)
 class ObjectiveReport:
-    """Objective value with its per-term breakdown."""
+    """Objective value with its per-term breakdown; ``total`` is
+    ``math.fsum(terms())``."""
 
     total: float
     forward_transition_terms: dict[str, float]
@@ -148,10 +150,9 @@ class PairObjective:
         self.segments = list(zip([0] + stops[:-1], stops))
         #: Map pairs per ``entries`` call that keep it within MAX_STACK_ENTRIES.
         self.batch = max(1, MAX_STACK_ENTRIES // self.p.shape[1])
-        # k = N + 2m + 2 for N entries per pair and m motor symbols; the
-        # bound in ``bounds`` holds for k <= 2**25, beyond which every
-        # comparison takes the exact sums.
-        k = self.p.shape[1] + 2 * len(self.motor) + 2
+        # k = N + 2 for N entries per pair; the bound in ``bounds`` holds
+        # for k <= 2**25, beyond which every comparison takes the exact sums.
+        k = self.p.shape[1] + 2
         self.radius_scale = 2 * k * 2.0**-53 if k <= 2**25 else np.inf
 
     def check_map(self, mapping: OntologyMap) -> None:
@@ -221,17 +222,17 @@ class PairObjective:
         and the radius ``r`` has |a - c| <= r / 2.
 
         Proof, with u = 2**-53, gamma_j = j * u / (1 - j * u), N entries per
-        row, m motor symbols, S the exact sum of a row and s = sum |x_i|:
+        row, S the exact sum of a row and s = sum |x_i|:
 
         * ``a`` is a float sum of the N entries, and any summation tree
           (numpy's pairwise one, or partial sums added up) gives
           |a - S| <= gamma_{N-1} * s. The computed s' of the |x_i|
           likewise has s <= s' / (1 - gamma_{N-1}).
-        * c adds 2m + 2 correctly rounded term sums t_j with 2m + 1 rounded
-          additions (``_sum``): |t_j - T_j| <= u * |T_j| for each exact term
-          sum T_j, and sum |t_j| <= (1 + u) * s, so
-          |c - S| <= u * s + gamma_{2m+1} * (1 + u) * s <= gamma_{2m+2} * s.
-        * With K = N + 2m + 1, gamma_{N-1} + gamma_{2m+2} <= gamma_K, so
+        * c = fl(sum t_j) is the correctly rounded sum of the correctly
+          rounded term sums t_j: |t_j - T_j| <= u * |T_j| for each exact
+          term sum T_j, and |c - sum t_j| <= u * (1 + u) * s, so
+          |c - S| <= u * s + u * (1 + u) * s <= gamma_2 * s.
+        * With K = N + 1, gamma_{N-1} + gamma_2 <= gamma_K, so
           |a - c| <= gamma_K * s' / (1 - gamma_{N-1}) <= K * u * s' / (1 - 2 * K * u),
           which is at most k * u * s' * (1 - u)**2 for k = K + 1 <= 2**25.
         * r is computed as 2 * k * u * s' (k * u is exact) plus 2**-1069, so
@@ -249,27 +250,15 @@ class PairObjective:
         return a - r, a + r
 
     def exact_totals(self, x: np.ndarray) -> list[float]:
-        """The objective of each row of entries ``x`` (from ``entries``):
-        correctly rounded term sums, added left to right."""
-        return [self._sum(terms) for terms in _fsums(x, self.segments)]
-
-    def _sum(self, terms: list[float]) -> float:
-        # Left-to-right adds from 0.0 on every Python version: the builtin
-        # sum compensates its rounding from 3.12 on.
-        m = len(self.motor)
-        forward = backward = 0.0
-        for t in terms[:m]:
-            forward += t
-        for t in terms[m + 1 : 2 * m + 1]:
-            backward += t
-        return forward + terms[m] + backward + terms[2 * m + 1]
+        """The objective of each row of entries ``x``: ``math.fsum`` of its term sums."""
+        return [math.fsum(terms) for terms in _fsums(x, self.segments)]
 
     def report(self, phi: np.ndarray, phi_inv: np.ndarray) -> ObjectiveReport:
         """The objective at (phi, phi_inv) with its per-term breakdown."""
         terms = _fsums(self.entries(phi[None], phi_inv[None]), self.segments)[0]
         m = len(self.motor)
         return ObjectiveReport(
-            total=self._sum(terms),
+            total=math.fsum(terms),
             forward_transition_terms=dict(zip(self.motor, terms[:m])),
             forward_output_term=terms[m],
             backward_transition_terms=dict(zip(self.motor, terms[m + 1 : 2 * m + 1])),

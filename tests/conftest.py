@@ -1,6 +1,3 @@
-from functools import reduce
-from operator import add
-
 import numpy as np
 import pytest
 
@@ -88,9 +85,3 @@ def reference_terms(o0, o1, phi, phi_inv, epsilon: float) -> list[float]:
         + backward
         + [kl_columns(o0.output, o1.output @ phi_inv, policy)]
     )
-
-
-def left_sum(values) -> float:
-    """Left-to-right float adds from 0.0, as on every Python version (the
-    builtin sum compensates its rounding from 3.12 on)."""
-    return reduce(add, values, 0.0)

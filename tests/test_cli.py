@@ -1,9 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ontomap
 from conftest import published_corridor_map
 from ontomap.cli import main
 from ontomap.corridor import CorridorSpec, build_corridor
@@ -74,11 +76,12 @@ def test_map_command_writes_outputs(corridor_files, tmp_path, capsys):
     mapping = read_map((out / "map.json").read_bytes())
     assert mapping.n0 == 4 and mapping.n1 == 5
     report = json.loads((out / "report.json").read_text())
-    assert report["total"] == pytest.approx(sum(
+    # The total is exactly math.fsum of the six terms the report lists.
+    assert report["total"] == math.fsum(
         list(report["forward_transition_terms"].values())
         + [report["forward_output_term"], report["backward_output_term"]]
         + list(report["backward_transition_terms"].values())
-    ))
+    )
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "map"
     assert manifest["seed"] == 0
@@ -116,12 +119,13 @@ def test_map_command_reports_each_restart(corridor_files, tmp_path, capsys):
 
 
 def test_manifest_records_environment(corridor_files, tmp_path, capsys):
-    # The bytes of a run depend on the numpy build and the CPU features it
-    # dispatches to, so the manifest records them.
+    # The bytes of a run depend on the ontomap version, the numpy build and
+    # the CPU features it dispatches to, so the manifest records them.
     p4, p5 = corridor_files
     out = tmp_path / "run"
     assert main(["map", str(p4), str(p5), "--restarts", "1", "--max-iters", "5", "--out", str(out)]) == 0
     env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["ontomap"] == ontomap.__version__
     assert env["numpy"] == np.__version__
     assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
     assert all(isinstance(f, str) for f in env["cpu_dispatch"])

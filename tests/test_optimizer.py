@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ontomap.objective
-from conftest import left_sum, random_model, reference_terms
+from conftest import random_model, reference_terms
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import SmoothingPolicy
 from ontomap.model import Alphabet, FiniteStateModel
@@ -125,7 +125,6 @@ def test_hill_climb_matches_reference_objective(corridor4, corridor5, monkeypatc
     # The reference total of every map pair the climber scores, keyed by
     # the entries the kernel computed for it; infinite intervals send
     # every comparison to the exact totals, which read these.
-    m = len(corridor4.motor)
     reference = {}
     real_entries = PairObjective.entries
 
@@ -133,7 +132,7 @@ def test_hill_climb_matches_reference_objective(corridor4, corridor5, monkeypatc
         x = real_entries(self, phi, phi_inv)
         for row, p, p_inv in zip(x, phi, phi_inv):
             t = reference_terms(corridor4, corridor5, p, p_inv, self.epsilon)
-            reference[row.tobytes()] = left_sum(t[:m]) + t[m] + left_sum(t[m + 1 : 2 * m + 1]) + t[2 * m + 1]
+            reference[row.tobytes()] = math.fsum(t)
         return x
 
     def reference_totals(self, x):
