@@ -10,6 +10,8 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import sys
 from pathlib import Path
 
@@ -43,13 +45,29 @@ def _print_matrices(*named: tuple[str, np.ndarray]) -> None:
             print("  " + "  ".join(f"{v:8.3g}" for v in row))
 
 
+@functools.cache
+def _blas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked at run time (which
+    ``OPENBLAS_CORETYPE`` overrides), or None where numpy bundles no
+    OpenBLAS that reports it (numpy 1.x, MKL, Accelerate)."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so"):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def _environment() -> dict:
     """What the output bytes depend on beyond the inputs and configuration:
     the ontomap and numpy versions, the BLAS numpy was built against (where
-    numpy reports it) and the CPU features numpy dispatches to on this machine."""
+    numpy reports it) with the kernel it runs, and the CPU features numpy
+    dispatches to on this machine."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = {"name": blas["name"], "version": blas["version"]}
+        blas = {"name": blas["name"], "version": blas["version"], "core": _blas_core()}
     except (TypeError, KeyError):  # numpy < 1.25 only prints its build
         blas = None
     try:

@@ -162,27 +162,30 @@ class PairObjective:
             raise ValueError(f"map shape ({mapping.n0}, {mapping.n1}) does not match models {n}")
 
     def entries(self, phi: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
-        """The KL entries of each map pair in stacks of shape (R, n0, n1) and
-        (R, n1, n0), as an (R, N) matrix: one column per entry of the four
-        term blocks, in the order of the terms."""
-        r = len(phi)
-        maps = (phi, phi_inv)
-        q = np.concatenate(
-            [
-                _smooth(b, self.epsilon).reshape(r, -1)
-                for side in (0, 1)
-                for b in (self._transitions(side, phi, phi_inv), self.a[side] @ maps[side])
-            ],
-            axis=1,
-        )
-        return _kl_entries(self.p, self.p1, q)
+        """The KL entries of each map pair in stacks of shape (..., n0, n1)
+        and (..., n1, n0) whose stack dimensions broadcast, as an (R, N)
+        matrix: one row per pair of the broadcast stack, in C order, and one
+        column per entry of the four term blocks, in the order of the terms.
+        A map's left factor and smoothed output block are formed once per
+        map of its own stack; a row's bits depend only on its map pair."""
+        q = []
+        for side in (0, 1):
+            trans = _smooth(self._transitions(side, phi, phi_inv), self.epsilon)
+            out = _smooth(self.a[side] @ (phi, phi_inv)[side], self.epsilon)
+            stack, out = trans.shape[:-3], out.reshape(out.shape[:-2] + (-1,))
+            if out.shape[:-1] != stack:
+                out = np.broadcast_to(out, stack + out.shape[-1:])
+            q += [trans.reshape(stack + (-1,)), out]
+        return _kl_entries(self.p, self.p1, np.concatenate(q, axis=-1).reshape(-1, self.p.shape[1]))
 
     def _transitions(self, side: int, phi: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
         """The transition approximations of side 0 (phi_inv @ T0^x @ phi)
-        or side 1 (phi @ T1^x @ phi_inv) for stacked map pairs; the output
-        approximations are A0 @ phi and A1 @ phi_inv."""
+        or side 1 (phi @ T1^x @ phi_inv) for broadcasting stacks of maps,
+        with shape (..., m, n, n); the output approximations are A0 @ phi
+        and A1 @ phi_inv. The left factor (phi_inv @ T0^x or phi @ T1^x) is
+        formed once per map of its own stack."""
         right, left = (phi, phi_inv)[side], (phi_inv, phi)[side]
-        return left[:, None] @ self.t[side] @ right[:, None]
+        return left[..., None, :, :] @ self.t[side] @ right[..., None, :, :]
 
     def moved(self, phi: np.ndarray, phi_inv: np.ndarray, side: int, j: int, x: np.ndarray) -> np.ndarray:
         """The entries row of the map pair (phi, phi_inv), whose column j of

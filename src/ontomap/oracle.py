@@ -77,9 +77,11 @@ def oracle_search(
     """Exhaustive search; returns (best map, best total).
 
     Ties keep the first grid point in enumeration order: phi outer,
-    phi_inv inner, each in ``product`` order of its grid columns. Exact
-    totals are taken only where the certified intervals of
-    ``PairObjective.bounds`` cannot rule a point out.
+    phi_inv inner, each in ``product`` order of its grid columns. The grid
+    is scored in blocks of phi maps x phi_inv maps, one broadcasting
+    ``entries`` call of at most ``batch`` pairs each. Exact totals are
+    taken only where the certified intervals of ``PairObjective.bounds``
+    cannot rule a point out.
     """
     n0, n1 = o0.n, o1.n
     if free_parameters(n0, n1) > MAX_FREE_PARAMETERS:
@@ -88,30 +90,35 @@ def oracle_search(
             f"oracle is capped at {MAX_FREE_PARAMETERS}"
         )
     steps, n_phi, n_inv = _grid(n0, n1, resolution)
-    n_points = n_phi * n_inv
     objective = PairObjective(o0, o1, policy.epsilon)
     phi_cols = _grid_columns(n0, steps)
     phi_inv_cols = _grid_columns(n1, steps)
+    # Blocks of n_i phi maps x n_j phi_inv maps, phi blocks outer. A block
+    # spans every phi_inv map or holds one phi map, so blocks and their
+    # rows run in grid order.
+    n_j = min(n_inv, objective.batch)
+    n_i = max(1, objective.batch // n_j)
     best_total = np.inf
     best = None
-    for first in range(0, n_points, objective.batch):
-        points = np.arange(first, min(first + objective.batch, n_points))
-        phi = _grid_maps(phi_cols, n1, points // n_inv)
-        phi_inv = _grid_maps(phi_inv_cols, n0, points % n_inv)
-        # Only rows whose certified interval reaches down to the least upper
-        # bound can hold the chunk's first minimum below best_total; a NaN
-        # bound makes every row a candidate, as the exact argmin would see it.
-        x = objective.entries(phi, phi_inv)
-        lo, hi = objective.bounds(x)
-        candidates = np.flatnonzero(~(lo > min(hi.min(), best_total)))
-        if not len(candidates):
-            continue
-        totals = objective.exact_totals(x[candidates])
-        i = int(np.argmin(totals))
-        if totals[i] < best_total:
-            best_total = totals[i]
-            i = candidates[i]
-            best = OntologyMap(phi=phi[i], phi_inv=phi_inv[i])
+    for first_i in range(0, n_phi, n_i):
+        phi = _grid_maps(phi_cols, n1, np.arange(first_i, min(first_i + n_i, n_phi)))
+        for first_j in range(0, n_inv, n_j):
+            phi_inv = _grid_maps(phi_inv_cols, n0, np.arange(first_j, min(first_j + n_j, n_inv)))
+            # Only rows whose certified interval reaches down to the least
+            # upper bound can hold the block's first minimum below
+            # best_total; a NaN bound makes every row a candidate, as the
+            # exact argmin would see it.
+            x = objective.entries(phi[:, None], phi_inv[None])
+            lo, hi = objective.bounds(x)
+            candidates = np.flatnonzero(~(lo > min(hi.min(), best_total)))
+            if not len(candidates):
+                continue
+            totals = objective.exact_totals(x[candidates])
+            k = int(np.argmin(totals))
+            if totals[k] < best_total:
+                best_total = totals[k]
+                i, j = divmod(candidates[k], len(phi_inv))
+                best = OntologyMap(phi=phi[i], phi_inv=phi_inv[j])
     return best, best_total
 
 

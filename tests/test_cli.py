@@ -119,15 +119,17 @@ def test_map_command_reports_each_restart(corridor_files, tmp_path, capsys):
 
 
 def test_manifest_records_environment(corridor_files, tmp_path, capsys):
-    # The bytes of a run depend on the ontomap version, the numpy build and
-    # the CPU features it dispatches to, so the manifest records them.
+    # The bytes of a run depend on the ontomap version, the numpy build, the
+    # BLAS kernel it runs and the CPU features it dispatches to, so the
+    # manifest records them.
     p4, p5 = corridor_files
     out = tmp_path / "run"
     assert main(["map", str(p4), str(p5), "--restarts", "1", "--max-iters", "5", "--out", str(out)]) == 0
     env = json.loads((out / "manifest.json").read_text())["environment"]
     assert env["ontomap"] == ontomap.__version__
     assert env["numpy"] == np.__version__
-    assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+    assert env["blas"] is None or set(env["blas"]) == {"name", "version", "core"}
+    assert env["blas"] is None or env["blas"]["core"] is None or isinstance(env["blas"]["core"], str)
     assert all(isinstance(f, str) for f in env["cpu_dispatch"])
 
 

@@ -287,6 +287,37 @@ def test_totals_equal_total_exactly(seed, r, n0, n1, motor, sensor, epsilon):
     assert kernel.exact_totals(x) == [kernel.report(phi[i], phi_inv[i]).total for i in range(r)]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    a=st.integers(1, 4),
+    b=st.integers(1, 4),
+    n0=st.integers(1, 8),
+    n1=st.integers(1, 8),
+    motor=st.integers(1, 3),
+    sensor=st.integers(1, 4),
+    epsilon=st.sampled_from([2.0**-1022, 1e-9, 1e-3]),
+    sparse=st.booleans(),
+)
+@example(seed=0, a=3, b=4, n0=1, n1=5, motor=2, sensor=3, epsilon=2.0**-1022, sparse=True)
+@example(seed=1, a=4, b=2, n0=6, n1=1, motor=3, sensor=4, epsilon=1e-9, sparse=False)
+def test_broadcast_stacks_equal_repeated_stacks(seed, a, b, n0, n1, motor, sensor, epsilon, sparse):
+    # a phi maps against b phi_inv maps score, in C order, the a * b rows
+    # of the pairs spelled out one by one, byte for byte: the products a
+    # map forms once for its whole row or column of the grid are the ones
+    # each of its pairs would form.
+    rng = np.random.default_rng(seed)
+    mot, sen = _alphabets(motor, sensor)
+    model = _sparse_model if sparse else random_model
+    kernel = PairObjective(model(rng, n0, mot, sen), model(rng, n1, mot, sen), epsilon)
+    phi = np.stack([_sparse_stochastic(rng, n0, n1) for _ in range(a)])
+    phi_inv = np.stack([_sparse_stochastic(rng, n1, n0) for _ in range(b)])
+    x = kernel.entries(phi[:, None], phi_inv[None])
+    want = kernel.entries(np.repeat(phi, b, axis=0), np.tile(phi_inv, (a, 1, 1)))
+    assert x.shape == want.shape == (a * b, kernel.p.shape[1])
+    assert x.tobytes() == want.tobytes()
+
+
 def _float_sum_and_radius(kernel: PairObjective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float sum ``a`` and radius ``r`` of each row, as the proof in
     ``PairObjective.bounds`` defines them."""

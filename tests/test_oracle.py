@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ontomap.objective
-from conftest import permuted_copy
+from conftest import permuted_copy, random_model
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import DEFAULT_POLICY
 from ontomap.model import Alphabet, FiniteStateModel
@@ -158,7 +158,10 @@ def _first_strict_minimum(o0, o1, resolution):
     return best, best_total, totals
 
 
-@pytest.mark.parametrize("cap", [None, 16, 7 * 16, 104 * 16, 105 * 16])
+# 16 entries per pair, 25 phi maps x 25 phi_inv maps: blocks of 1 x 1,
+# 1 x 7 (splitting the phi_inv range), 1 x 25 (one phi map per block, of
+# 25 and 26 pairs' room), 2 x 25 and 4 x 25.
+@pytest.mark.parametrize("cap", [None, 16, 7 * 16, 25 * 16, 26 * 16, 50 * 16, 104 * 16, 105 * 16])
 def test_chunked_oracle_keeps_first_minimum(cap, monkeypatch):
     # Two states that only the output could tell apart, and it does not:
     # the identity and the swap tie exactly, in grid points 520 and 104.
@@ -186,3 +189,43 @@ def test_chunked_oracle_keeps_first_minimum(cap, monkeypatch):
     assert total == want
     assert mapping.phi.tobytes() == phi.tobytes()
     assert mapping.phi_inv.tobytes() == phi_inv.tobytes()
+
+
+@pytest.mark.parametrize("n0, n1", [(1, 3), (3, 1), (2, 2)])
+@pytest.mark.parametrize("split", [False, True])
+def test_blocked_oracle_equals_pointwise_search(n0, n1, split, monkeypatch):
+    # One phi map or one phi_inv map spans the whole grid at (1, 3) and
+    # (3, 1). Blocks of 4 pairs split the phi_inv range (15 maps at (1, 3),
+    # 25 at (2, 2)) or take 4 phi maps of one phi_inv map at (3, 1).
+    rng = np.random.default_rng([n0, n1])
+    motor, sensor = Alphabet(("a", "b")), Alphabet(("s", "t", "u"))
+    o0, o1 = random_model(rng, n0, motor, sensor), random_model(rng, n1, motor, sensor)
+    (phi, phi_inv), want, _ = _first_strict_minimum(o0, o1, 0.25)
+    if split:
+        entries = PairObjective(o0, o1, DEFAULT_POLICY.epsilon).p.shape[1]
+        monkeypatch.setattr(ontomap.objective, "MAX_STACK_ENTRIES", 4 * entries)
+    mapping, total = oracle_search(o0, o1, resolution=0.25)
+    assert total == want
+    assert mapping.phi.tobytes() == phi.tobytes()
+    assert mapping.phi_inv.tobytes() == phi_inv.tobytes()
+
+
+def test_oracle_scores_a_block_of_phi_maps_per_call(monkeypatch):
+    # corridor2 at 0.1 has 121 phi maps and 121 phi_inv maps; a batch of
+    # 585 pairs takes 4 phi maps against every phi_inv map per call.
+    m = build_corridor(CorridorSpec(2))
+    batch = PairObjective(m, m, DEFAULT_POLICY.epsilon).batch
+    assert batch // 121 == 4
+    calls = []
+    real = PairObjective.entries
+
+    def entries(self, phi, phi_inv):
+        x = real(self, phi, phi_inv)
+        calls.append(len(x))
+        return x
+
+    monkeypatch.setattr(PairObjective, "entries", entries)
+    oracle_search(m, m, resolution=0.1)
+    assert len(calls) == math.ceil(121 / 4) == 31
+    assert sum(calls) == 121 * 121
+    assert max(calls) <= batch
