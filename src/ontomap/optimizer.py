@@ -8,10 +8,11 @@ consecutive rejections and the climb stops once it falls below
 ``MIN_STEP``. Restarts draw from independent, seed-derived RNG streams, so
 results do not depend on execution order: ``optimize`` climbs them in
 lock-step. Each round scores a window of every restart's next proposals
-in one batched objective call, on the assumption that each is rejected,
-and keeps the ones up to the first acceptance; for map pairs too large to
-stack, it rescores only what each proposal's moved column changes. Totals
-are compared through certified intervals.
+(``FIRST_WINDOW`` plus its rejections since its last acceptance or step
+decay) in one batched objective call, on the assumption that each is
+rejected, and keeps the ones up to the first acceptance; for map pairs too
+large to stack, it rescores only what each proposal's moved column
+changes. Totals are compared through certified intervals.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ INITIAL_STEP = 0.5
 STEP_DECAY = 0.5
 PATIENCE = 200
 MIN_STEP = 1e-6
-FIRST_WINDOW = 4  # proposals per restart and round, at the start and after an acceptance
-# Cap on the float64 entries of the proposals one restart of the climber
-# scores per round. A row after the round's first acceptance is wasted;
-# windows paid off on dense pairs of 1 120 entries (16 x 16 models, up to
-# three proposals per restart) but not of 2 704 (16 x 32), which this cap
-# keeps at one.
-MAX_WINDOW_ENTRIES = 4096
+FIRST_WINDOW = 4  # proposals per restart and round, before any rejection
 
 
 @dataclass(frozen=True)
@@ -120,12 +115,12 @@ def _climb(
     the first acceptance ends a window, and the draws of the proposals
     after it stay queued for the next round. So each restart consumes its
     draws and accepts its moves exactly as a climb of one proposal per
-    iteration does. A window holds FIRST_WINDOW proposals at the start and
-    after an acceptance, and doubles after a window without one, within
-    MAX_WINDOW_ENTRIES entries per restart and ``objective.batch`` map
-    pairs per round. It ends at the restart's last iteration and before
-    its step would decay, so it never draws past the restart's stop and
-    its proposals share one step.
+    iteration does. A window holds FIRST_WINDOW proposals plus the
+    restart's rejections since its last acceptance or step decay, at most
+    ``objective.batch // FIRST_WINDOW`` (one at least) per restart and
+    ``objective.batch`` per round. It ends at the restart's last iteration
+    and before its step would decay, so it never draws past the restart's
+    stop and its proposals share one step.
 
     When the kernel takes one map pair per call (``objective.batch ==
     1``), a window holds one proposal, rescored from its restart's current
@@ -138,32 +133,29 @@ def _climb(
     n_cols = n1 + n0  # phi has n1 columns, phi_inv has n0
     # A column of phi is every n1-th entry of a map, one of phi_inv every n0-th.
     columns = (np.arange(n0) * n1, np.arange(n1) * n0)
-    eps = objective.epsilon
     maps = (np.stack([s.phi for s in starts]), np.stack([s.phi_inv for s in starts]))
     # Each restart's current state: its entries row and their certified
     # interval [lo, hi].
     x = objective.entries(*maps)
     lo, hi = (b.tolist() for b in objective.bounds(x))
-    most = max(1, MAX_WINDOW_ENTRIES // x.shape[1])  # the most proposals per restart and round
     count = len(starts)
     step = [INITIAL_STEP] * count
     rejections = [0] * count
     accepted = [0] * count
     iters = [0] * count
-    window = [FIRST_WINDOW] * count
     drawn = [[] for _ in range(count)]  # draws not yet consumed: (matrix, column, noise)
     live = list(range(count))  # the restarts that have not stopped
     done = [None] * count
     while live:
-        # Each restart's window: its next proposals, each built from its
-        # current maps as if every earlier one were rejected. A window ends
-        # before the step would decay, so its proposals share one step.
-        cap = min(most, objective.batch // len(live))
+        # A restart's window holds batch // FIRST_WINDOW proposals at most:
+        # 3 for dense pairs of 1 120 entries (16 x 16 models), where windows
+        # paid off, and 1 for 2 704 (16 x 32), where they did not.
+        cap = min(max(1, objective.batch // FIRST_WINDOW), objective.batch // len(live))
         props = []  # (matrix, column, noise) of each row
         owner = []  # the restart of each row
         sizes = []  # (restart, rows) of each window
         for i in live:
-            w = min(window[i], cap, max_iters - iters[i], PATIENCE - rejections[i])
+            w = min(FIRST_WINDOW + rejections[i], cap, max_iters - iters[i], PATIENCE - rejections[i])
             queue = drawn[i]
             while len(queue) < w:
                 k = int(rngs[i].integers(n_cols))
@@ -182,15 +174,14 @@ def _climb(
                 flat = rows[m].reshape(-1)
                 noise = np.array([props[k][2] for k in picked])
                 steps = np.array([step[owner[k]] for k in picked])
-                flat[at] = _perturb_rows(flat[at], steps, eps, noise)
+                flat[at] = _perturb_rows(flat[at], steps, objective.epsilon, noise)
         if objective.batch == 1:  # one restart, one proposal
             m, j, _ = props[0]
             x_new = objective.moved(rows[0][0], rows[1][0], m, j, x[owner[0]])[None]
         else:
             x_new = objective.entries(*rows)
         new_lo, new_hi = (b.tolist() for b in objective.bounds(x_new))
-        # Walk each window in order up to its first acceptance; the draws
-        # of the rows after it stay queued for the next round.
+        # Walk each window in order up to its first acceptance.
         first = 0
         for i, w in sizes:
             for k in range(first, first + w):
@@ -207,7 +198,6 @@ def _climb(
                     x[i], lo[i], hi[i] = x_new[k], new_lo[k], new_hi[k]
                     rejections[i] = 0
                     accepted[i] += 1
-                    window[i] = FIRST_WINDOW
                     used = k + 1 - first
                     break
             else:  # every proposal rejected
@@ -216,7 +206,6 @@ def _climb(
                 if rejections[i] == PATIENCE:
                     step[i] *= STEP_DECAY
                     rejections[i] = 0
-                window[i] = 2 * w
             iters[i] += used
             del drawn[i][:used]
             first += w
@@ -265,24 +254,16 @@ def optimize(
     toward the lowest restart index.
     """
     objective = PairObjective(o0, o1, config.policy.epsilon)
-    outcomes = []
-    best = None
     # Restarts are independent, so climbing them in groups of the kernel's
     # batch size changes no result.
+    climbs = []
     for first in range(0, config.restarts, objective.batch):
-        group = range(first, min(first + objective.batch, config.restarts))
-        rngs = [_restart_rng(config.seed, r) for r in group]
+        rngs = [_restart_rng(config.seed, r) for r in range(first, min(first + objective.batch, config.restarts))]
         starts = [random_map(o0.n, o1.n, rng) for rng in rngs]
-        climbs = _climb(objective, starts, rngs, config.max_iters)
-        for r, (phi, phi_inv, total, iters, accepted, stop) in zip(group, climbs):
-            outcomes.append(
-                RestartOutcome(restart=r, final_total=total, iterations=iters, accepted=accepted, stop=stop)
-            )
-            if best is None or total < best[2]:
-                best = (phi, phi_inv, total)
-    best_map = OntologyMap(phi=best[0], phi_inv=best[1])
+        climbs += _climb(objective, starts, rngs, config.max_iters)
+    phi, phi_inv = min(climbs, key=lambda climb: climb[2])[:2]  # the first of equal totals
     return OptimizationResult(
-        best_map=best_map,
-        best_report=objective.report(best_map.phi, best_map.phi_inv),
-        per_restart=tuple(outcomes),
+        best_map=OntologyMap(phi=phi, phi_inv=phi_inv),
+        best_report=objective.report(phi, phi_inv),
+        per_restart=tuple(RestartOutcome(r, *climb[2:]) for r, climb in enumerate(climbs)),
     )

@@ -98,12 +98,15 @@ def oracle_search(
     # rows run in grid order.
     n_j = min(n_inv, objective.batch)
     n_i = max(1, objective.batch // n_j)
+    # Every phi_inv map, built once: under the free-parameter cap they take
+    # at most the space of phi_inv_cols, or of 3 136 2 x 2 maps.
+    inv_maps = _grid_maps(phi_inv_cols, n0, np.arange(n_inv))
     best_total = np.inf
     best = None
     for first_i in range(0, n_phi, n_i):
         phi = _grid_maps(phi_cols, n1, np.arange(first_i, min(first_i + n_i, n_phi)))
         for first_j in range(0, n_inv, n_j):
-            phi_inv = _grid_maps(phi_inv_cols, n0, np.arange(first_j, min(first_j + n_j, n_inv)))
+            phi_inv = inv_maps[first_j : first_j + n_j]
             # Only rows whose certified interval reaches down to the least
             # upper bound can hold the block's first minimum below
             # best_total; a NaN bound makes every row a candidate, as the

@@ -11,7 +11,7 @@ from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import SmoothingPolicy
 from ontomap.model import Alphabet, FiniteStateModel
 from ontomap.objective import MAX_STACK_ENTRIES, OntologyMap, PairObjective, evaluate
-from ontomap.optimizer import INITIAL_STEP, MIN_STEP, PATIENCE, STEP_DECAY, OptimizerConfig, _restart_rng
+from ontomap.optimizer import FIRST_WINDOW, INITIAL_STEP, MIN_STEP, PATIENCE, STEP_DECAY, OptimizerConfig, _restart_rng
 from ontomap.optimizer import hill_climb, optimize, random_map
 
 MOTOR = Alphabet(("a", "b"))
@@ -459,6 +459,26 @@ def test_totals_stacks_within_entry_cap(n, monkeypatch):
     assert all(a[0] == 1 or a[0] * pair_entries <= MAX_STACK_ENTRIES for a, _ in shapes)
     if pair_entries < MAX_STACK_ENTRIES // 2:
         assert max(a[0] for a, _ in shapes) > 1
+
+
+def test_windows_within_per_restart_cap(corridor4, corridor5, monkeypatch):
+    # A lone restart's windows grow while its proposals are rejected, up to
+    # batch // FIRST_WINDOW proposals per round: 37 at the corridor pair's
+    # 109 entries.
+    rows = []
+    real = PairObjective.entries
+
+    def entries(self, phi, phi_inv):
+        rows.append(len(phi))
+        return real(self, phi, phi_inv)
+
+    monkeypatch.setattr(PairObjective, "entries", entries)
+    config = OptimizerConfig(max_iters=4000)
+    cap = max(1, PairObjective(corridor4, corridor5, config.policy.epsilon).batch // FIRST_WINDOW)
+    assert cap == 37
+    rng = np.random.default_rng(0)
+    hill_climb(corridor4, corridor5, random_map(4, 5, rng), config, rng)
+    assert max(rows) == cap
 
 
 def test_best_of_restarts_selection(corridor4, corridor5):
