@@ -9,7 +9,7 @@ motor symbol ``x`` is ``T^x @ d`` and the sensor distribution is ``A @ d``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -176,26 +176,20 @@ def observe(model: FiniteStateModel, d: StateDistribution) -> np.ndarray:
     return model.output @ d.probs
 
 
-def _renormalize_columns(mat: np.ndarray) -> np.ndarray:
-    return mat / mat.sum(axis=0, keepdims=True)
-
-
 def _json_numbers(values) -> bool:
     """Whether ``values`` is a JSON list of numbers (strings and booleans
     are not numbers; NaN is, and is left to validation)."""
     return isinstance(values, list) and set(map(type, values)) <= {int, float}
 
 
-def _matrix_from_rows(rows, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """A JSON list of rows of numbers as a float matrix, of ``shape`` if given."""
+def _matrix_from_rows(rows, name: str) -> np.ndarray:
+    """A JSON list of rows of numbers as a float matrix."""
     if not (isinstance(rows, list) and all(map(_json_numbers, rows))):
         raise ModelFormatError(f"{name}: not a list of rows of JSON numbers")
     try:
         mat = np.asarray(rows, dtype=float)
     except (ValueError, OverflowError) as e:
         raise ModelFormatError(f"{name}: not a numeric matrix ({e})") from None
-    if shape is not None and mat.shape != shape:
-        raise ModelFormatError(f"{name}: shape {mat.shape} does not match declared sizes {shape}")
     return mat
 
 
@@ -246,37 +240,32 @@ def read_model(source) -> FiniteStateModel:
     """Parse a model file (bytes, text, or readable stream).
 
     Matrices in the file are row-major nested lists; they are interpreted
-    column-stochastically (see module docstring). Columns are validated to
-    sum to 1 within 1e-9, then renormalized exactly so downstream math sees
-    exact simplex points.
+    column-stochastically (see module docstring). A missing or mistyped
+    field, and whatever ``FiniteStateModel`` refuses, is a format error.
+    Columns are validated to sum to 1 within 1e-9, then renormalized
+    exactly so downstream math sees exact simplex points.
     """
     doc = load_json(source, "model")
     try:
-        n = _json_int(doc, "states")
-        motor = Alphabet(_json_strings(doc, "motor"))
-        sensor = Alphabet(_json_strings(doc, "sensor"))
         raw_trans = doc["transitions"]
-        raw_out = doc["output"]
+        if not isinstance(raw_trans, dict):
+            raise TypeError("'transitions' must be a JSON object keyed by motor symbol")
+        model = FiniteStateModel(
+            n=_json_int(doc, "states"),
+            motor=Alphabet(_json_strings(doc, "motor")),
+            sensor=Alphabet(_json_strings(doc, "sensor")),
+            transitions={x: _matrix_from_rows(rows, f"T^{x}") for x, rows in raw_trans.items()},
+            output=_matrix_from_rows(doc["output"], "A"),
+        )
     except (KeyError, TypeError, ValueError) as e:
         raise ModelFormatError(f"missing or malformed field: {e}") from None
-    if not isinstance(raw_trans, dict):
-        raise ModelFormatError("'transitions' must be a JSON object keyed by motor symbol")
-    if set(raw_trans) != set(motor.symbols):
-        raise ModelFormatError(
-            f"transition keys {sorted(raw_trans)} do not match motor alphabet {list(motor)}"
-        )
-    transitions = {x: _matrix_from_rows(raw_trans[x], f"T^{x}", (n, n)) for x in motor}
-    output = _matrix_from_rows(raw_out, "A", (len(sensor), n))
-    model = FiniteStateModel(n=n, motor=motor, sensor=sensor, transitions=transitions, output=output)
     violations = validate_model(model)
     if violations:
         raise ModelValidationError(violations)
-    return FiniteStateModel(
-        n=n,
-        motor=motor,
-        sensor=sensor,
-        transitions={x: _renormalize_columns(transitions[x]) for x in motor},
-        output=_renormalize_columns(output),
+    return replace(
+        model,
+        transitions={x: t / t.sum(axis=0, keepdims=True) for x, t in model.transitions.items()},
+        output=model.output / model.output.sum(axis=0, keepdims=True),
     )
 
 

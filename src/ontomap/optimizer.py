@@ -131,8 +131,6 @@ def _climb(
     """
     n0, n1 = starts[0].n0, starts[0].n1
     n_cols = n1 + n0  # phi has n1 columns, phi_inv has n0
-    # A column of phi is every n1-th entry of a map, one of phi_inv every n0-th.
-    columns = (np.arange(n0) * n1, np.arange(n1) * n0)
     maps = (np.stack([s.phi for s in starts]), np.stack([s.phi_inv for s in starts]))
     # Each restart's current state: its entries row and their certified
     # interval [lo, hi].
@@ -169,12 +167,10 @@ def _climb(
         for m in (0, 1):
             picked = [k for k, p in enumerate(props) if p[0] == m]
             if picked:
-                # The flat indices of each picked row's moved column.
-                at = np.array([k * n0 * n1 + props[k][1] for k in picked])[:, None] + columns[m]
-                flat = rows[m].reshape(-1)
+                at = (np.array(picked), slice(None), np.array([props[k][1] for k in picked]))  # moved columns
                 noise = np.array([props[k][2] for k in picked])
                 steps = np.array([step[owner[k]] for k in picked])
-                flat[at] = _perturb_rows(flat[at], steps, objective.epsilon, noise)
+                rows[m][at] = _perturb_rows(rows[m][at], steps, objective.epsilon, noise)
         if objective.batch == 1:  # one restart, one proposal
             m, j, _ = props[0]
             x_new = objective.moved(rows[0][0], rows[1][0], m, j, x[owner[0]])[None]

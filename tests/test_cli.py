@@ -247,12 +247,15 @@ def test_bad_input_exits_1(argv, corridor_files, tmp_path, capsys):
         "translate {utility_bool} {map}",
         "map {c2} {c2} --restarts 1 --max-iters 3 --out {c2}/sub",
         "corridor --length 3 --out /nonexistent/x.json",
-    ],
+    ]
+    # Files that parse but that FiniteStateModel refuses.
+    + [f"validate {{{kind}}}" for kind in ("states_5", "no_R", "extra_key", "states_0", "output_2_rows")],
 )
 def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
     p4, p5 = corridor_files
     c2 = write_model(build_corridor(CorridorSpec(2)))
     doc = json.loads(c2)
+    doc4 = json.loads(p4.read_bytes())
     files = {
         "c2": c2,
         "map": write_map(published_corridor_map()),
@@ -267,6 +270,11 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
              "phi_inv": published_corridor_map().phi_inv.tolist()}
         ).encode(),
         "utility_bool": b'{"model_states": 4, "values": [0, 0, 0, true]}',
+        "states_5": json.dumps(dict(doc4, states=5)).encode(),  # 4 x 4 matrices
+        "no_R": json.dumps(dict(doc4, transitions={"L": doc4["transitions"]["L"]})).encode(),
+        "extra_key": json.dumps(dict(doc4, transitions=dict(doc4["transitions"], U=doc4["transitions"]["L"]))).encode(),
+        "states_0": json.dumps(dict(doc4, states=0)).encode(),
+        "output_2_rows": json.dumps(dict(doc4, output=doc4["output"][:2])).encode(),
     }
     paths = {"c4": p4, "c5": p5, "missing": tmp_path / "missing.json", "directory": tmp_path}
     for name, data in files.items():
