@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .corridor import CorridorSpec, build_corridor
-from .divergence import SmoothingPolicy
+from .divergence import DEFAULT_POLICY, SmoothingPolicy
 from .model import (
     ModelFormatError,
     ModelValidationError,
@@ -29,7 +29,7 @@ from .model import (
 )
 from .objective import evaluate, read_map, write_map
 from .optimizer import OptimizerConfig, optimize
-from .oracle import oracle_search
+from .oracle import DEFAULT_RESOLUTION, oracle_search
 from .utility import read_utility, translate, write_utility
 
 EXIT_OK = 0
@@ -180,24 +180,27 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ontomap",
         description="Translate utility functions between finite state model ontologies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The model pair and smoothing floor of map, objective and oracle.
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("o0")
+    pair.add_argument("o1")
+    pair.add_argument("--epsilon", type=float, default=DEFAULT_POLICY.epsilon)
 
     p = sub.add_parser("validate", help="check a model file's stochasticity invariants")
     p.add_argument("model")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("map", help="learn a stochastic map pair between two models")
-    p.add_argument("o0")
-    p.add_argument("o1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=20000, dest="max_iters")
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p = sub.add_parser("map", parents=[pair], help="learn a stochastic map pair between two models")
+    p.add_argument("--seed", type=int, default=OptimizerConfig.seed)
+    p.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    p.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters, dest="max_iters")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_map)
 
@@ -207,11 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_translate)
 
-    p = sub.add_parser("objective", help="evaluate the objective for a map file")
-    p.add_argument("o0")
-    p.add_argument("o1")
+    p = sub.add_parser("objective", parents=[pair], help="evaluate the objective for a map file")
     p.add_argument("map")
-    p.add_argument("--epsilon", type=float, default=1e-9)
     p.set_defaults(func=cmd_objective)
 
     p = sub.add_parser("corridor", help="emit a corridor model file")
@@ -219,11 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_file", default=None)
     p.set_defaults(func=cmd_corridor)
 
-    p = sub.add_parser("oracle", help="brute-force grid search (tiny instances only)")
-    p.add_argument("o0")
-    p.add_argument("o1")
-    p.add_argument("--resolution", type=float, default=0.05)
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p = sub.add_parser("oracle", parents=[pair], help="brute-force grid search (tiny instances only)")
+    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -33,19 +33,11 @@ class CorridorSpec:
 
 def build_corridor(spec: CorridorSpec) -> FiniteStateModel:
     n = spec.length
-    left = np.zeros((n, n))
-    right = np.zeros((n, n))
-    left[0, 0] = 1.0
-    right[n - 1, n - 1] = 1.0
-    for j in range(1, n):
-        left[j - 1, j] = 1.0
-    for j in range(n - 1):
-        right[j + 1, j] = 1.0
+    left, right = np.eye(n, k=1), np.eye(n, k=-1)
+    left[0, 0] = right[-1, -1] = 1.0
     output = np.zeros((3, n))
-    output[0, 0] = 1.0
-    output[2, n - 1] = 1.0
-    for j in range(1, n - 1):
-        output[1, j] = 1.0
+    output[0, 0] = output[2, -1] = 1.0
+    output[1, 1:-1] = 1.0
     return FiniteStateModel(
         n=n, motor=MOTOR, sensor=SENSOR, transitions={"L": left, "R": right}, output=output
     )

@@ -143,7 +143,6 @@ def _climb(
     iters = [0] * count
     drawn = [[] for _ in range(count)]  # draws not yet consumed: (matrix, column, noise)
     live = list(range(count))  # the restarts that have not stopped
-    done = [None] * count
     while live:
         # A restart's window holds batch // FIRST_WINDOW proposals at most:
         # 3 for dense pairs of 1 120 entries (16 x 16 models), where windows
@@ -206,11 +205,9 @@ def _climb(
             del drawn[i][:used]
             first += w
             if iters[i] == max_iters or step[i] < MIN_STEP:
-                [total] = objective.exact_totals(x[i : i + 1])
-                stop = "min_step" if step[i] < MIN_STEP else "max_iters"
-                done[i] = (maps[0][i], maps[1][i], total, iters[i], accepted[i], stop)
                 live.remove(i)
-    return done
+    stops = ["min_step" if s < MIN_STEP else "max_iters" for s in step]
+    return list(zip(maps[0], maps[1], objective.exact_totals(x), iters, accepted, stops))
 
 
 def hill_climb(

@@ -17,6 +17,7 @@ from .model import FiniteStateModel
 from .objective import OntologyMap, PairObjective
 
 MAX_FREE_PARAMETERS = 6
+DEFAULT_RESOLUTION = 0.05
 # Cap on the map pairs of one grid; at the default resolution 0.05 the
 # largest instance within MAX_FREE_PARAMETERS (1 and 7 states) has 230 230.
 MAX_GRID_POINTS = 10**7
@@ -61,17 +62,17 @@ def _grid_columns(dim: int, steps: int) -> np.ndarray:
     return (np.diff(bars, axis=1, prepend=-1, append=steps + dim - 1) - 1) / steps
 
 
-def _grid_maps(cols: np.ndarray, n_cols: int, choices: np.ndarray) -> np.ndarray:
-    """The maps numbered ``choices`` in ``product(cols, repeat=n_cols)``
-    order, as a stack of matrices whose columns are rows of ``cols``."""
-    digits = np.stack(np.unravel_index(choices, (len(cols),) * n_cols), axis=-1)
+def _grid_maps(cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """Every map of ``n_cols`` columns drawn from the rows of ``cols``, in
+    ``product(cols, repeat=n_cols)`` order, as a stack of matrices."""
+    digits = np.indices((len(cols),) * n_cols).reshape(n_cols, -1).T
     return np.ascontiguousarray(cols[digits].transpose(0, 2, 1))
 
 
 def oracle_search(
     o0: FiniteStateModel,
     o1: FiniteStateModel,
-    resolution: float = 0.05,
+    resolution: float = DEFAULT_RESOLUTION,
     policy: SmoothingPolicy = DEFAULT_POLICY,
 ) -> tuple[OntologyMap, float]:
     """Exhaustive search; returns (best map, best total).
@@ -91,20 +92,19 @@ def oracle_search(
         )
     steps, n_phi, n_inv = _grid(n0, n1, resolution)
     objective = PairObjective(o0, o1, policy.epsilon)
-    phi_cols = _grid_columns(n0, steps)
-    phi_inv_cols = _grid_columns(n1, steps)
     # Blocks of n_i phi maps x n_j phi_inv maps, phi blocks outer. A block
     # spans every phi_inv map or holds one phi map, so blocks and their
     # rows run in grid order.
     n_j = min(n_inv, objective.batch)
     n_i = max(1, objective.batch // n_j)
-    # Every phi_inv map, built once: under the free-parameter cap they take
-    # at most the space of phi_inv_cols, or of 3 136 2 x 2 maps.
-    inv_maps = _grid_maps(phi_inv_cols, n0, np.arange(n_inv))
+    # Both sides' maps, built once: under the free-parameter cap each stack
+    # takes at most the space of its grid columns, or of 3 136 2 x 2 maps.
+    phi_maps = _grid_maps(_grid_columns(n0, steps), n1)
+    inv_maps = _grid_maps(_grid_columns(n1, steps), n0)
     best_total = np.inf
     best = None
     for first_i in range(0, n_phi, n_i):
-        phi = _grid_maps(phi_cols, n1, np.arange(first_i, min(first_i + n_i, n_phi)))
+        phi = phi_maps[first_i : first_i + n_i]
         for first_j in range(0, n_inv, n_j):
             phi_inv = inv_maps[first_j : first_j + n_j]
             # Only rows whose certified interval reaches down to the least
@@ -129,7 +129,7 @@ def grid_step_variation(
     o0: FiniteStateModel,
     o1: FiniteStateModel,
     mapping: OntologyMap,
-    resolution: float = 0.05,
+    resolution: float = DEFAULT_RESOLUTION,
     policy: SmoothingPolicy = DEFAULT_POLICY,
 ) -> float:
     """Largest objective change from moving one grid step away from the map.

@@ -7,11 +7,13 @@ import pytest
 
 import ontomap
 from conftest import published_corridor_map
-from ontomap.cli import main
+from ontomap.cli import build_parser, main
 from ontomap.corridor import CorridorSpec, build_corridor
+from ontomap.divergence import DEFAULT_POLICY
 from ontomap.model import read_model, write_model
 from ontomap.objective import read_map, write_map
 from ontomap.optimizer import OptimizerConfig, optimize
+from ontomap.oracle import DEFAULT_RESOLUTION
 from ontomap.utility import read_utility, write_utility, UtilityVector
 
 
@@ -286,3 +288,34 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_parser_built_once_per_process(corridor_files, capsys):
+    assert build_parser() is build_parser()
+    # A parse error leaves the shared parser fit for the next command.
+    with pytest.raises(SystemExit) as e:
+        main(["map"])
+    assert e.value.code == 2
+    assert main(["validate", str(corridor_files[0])]) == 0
+    assert "valid" in capsys.readouterr().out
+
+
+def test_defaults_come_from_library():
+    config = OptimizerConfig()
+    args = build_parser().parse_args(["map", "a", "b"])
+    assert (args.seed, args.restarts, args.max_iters) == (config.seed, config.restarts, config.max_iters)
+    assert args.epsilon == config.policy.epsilon == DEFAULT_POLICY.epsilon
+    args = build_parser().parse_args(["oracle", "a", "b"])
+    assert (args.resolution, args.epsilon) == (DEFAULT_RESOLUTION, DEFAULT_POLICY.epsilon)
+    assert build_parser().parse_args(["objective", "a", "b", "m"]).epsilon == DEFAULT_POLICY.epsilon
+
+
+@pytest.mark.parametrize("command", ["validate", "map", "translate", "objective", "corridor", "oracle"])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: ontomap {command}")
+    if command in ("map", "objective", "oracle"):
+        assert all(arg in out for arg in ("o0", "o1", "--epsilon"))
