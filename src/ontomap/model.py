@@ -71,13 +71,11 @@ class StateDistribution:
 
     @classmethod
     def point_mass(cls, n: int, state: int) -> "StateDistribution":
-        p = np.zeros(n)
-        p[state] = 1.0
-        return cls(p)
+        return cls(np.arange(n) == state)
 
     @classmethod
     def uniform(cls, n: int) -> "StateDistribution":
-        return cls(np.full(n, 1.0 / n))
+        return cls(np.ones(n) / n)
 
 
 def _freeze(a) -> np.ndarray:

@@ -11,6 +11,8 @@ dimensionally impossible (phi_inv maps state distributions, not sensor
 distributions), so the output comparisons compose the maps on the state
 side only: A0 @ phi against A1, and A1 @ phi_inv against A0.
 
+``PairObjective.approximations`` is the one place the four approximation
+blocks are formed; ``entries`` and ``moved`` smooth and score them.
 ``PairObjective`` owns the question "which total is lower": ``bounds``
 gives each row of entries a certified interval around its total, and
 ``exact_totals`` the correctly rounded totals that settle the rows whose
@@ -145,9 +147,11 @@ class PairObjective:
         # rounding and is floored at epsilon >= 2**-1022, so q is at most 1
         # and 1 / q at most ~2**1022: the log is finite and nonnegative.
         self.p1 = np.where(self.p > 0, self.p, 1.0)
-        # Each term's (start, stop) in a row of entries.
+        # Each term's and each block's (start, stop) in a row of entries.
         stops = np.cumsum([term.size for block in trues for term in block]).tolist()
         self.segments = list(zip([0] + stops[:-1], stops))
+        ends = np.cumsum([block.size for block in trues]).tolist()
+        self.blocks = list(zip([0] + ends[:-1], ends))
         #: Map pairs per ``entries`` call that keep it within MAX_STACK_ENTRIES.
         self.batch = max(1, MAX_STACK_ENTRIES // self.p.shape[1])
         # k = N + 2 for N entries per pair; the bound in ``bounds`` holds
@@ -161,31 +165,33 @@ class PairObjective:
         if (mapping.n0, mapping.n1) != n:
             raise ValueError(f"map shape ({mapping.n0}, {mapping.n1}) does not match models {n}")
 
+    def approximations(self, phi: np.ndarray, phi_inv: np.ndarray) -> list[np.ndarray]:
+        """The four unsmoothed approximation blocks of stacks of maps
+        (..., n0, n1) and (..., n1, n0), in row order: phi_inv @ T0^x @ phi,
+        A0 @ phi, phi @ T1^x @ phi_inv and A1 @ phi_inv, each shaped as its
+        true side, (..., m, n, n) or (..., 1, s, n). A transition block
+        takes the maps' broadcast stack and an output block its own map's;
+        a left factor (phi_inv @ T0^x or phi @ T1^x) is formed once per map
+        of its own stack."""
+        q = []
+        for side, (right, left) in enumerate(((phi, phi_inv), (phi_inv, phi))):
+            right = right[..., None, :, :]
+            q += [left[..., None, :, :] @ self.t[side] @ right, self.a[side] @ right]
+        return q
+
     def entries(self, phi: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
         """The KL entries of each map pair in stacks of shape (..., n0, n1)
         and (..., n1, n0) whose stack dimensions broadcast, as an (R, N)
         matrix: one row per pair of the broadcast stack, in C order, and one
         column per entry of the four term blocks, in the order of the terms.
-        A map's left factor and smoothed output block are formed once per
-        map of its own stack; a row's bits depend only on its map pair."""
-        q = []
-        for side in (0, 1):
-            trans = _smooth(self._transitions(side, phi, phi_inv), self.epsilon)
-            out = _smooth(self.a[side] @ (phi, phi_inv)[side], self.epsilon)
-            stack, out = trans.shape[:-3], out.reshape(out.shape[:-2] + (-1,))
-            if out.shape[:-1] != stack:
-                out = np.broadcast_to(out, stack + out.shape[-1:])
-            q += [trans.reshape(stack + (-1,)), out]
-        return _kl_entries(self.p, self.p1, np.concatenate(q, axis=-1).reshape(-1, self.p.shape[1]))
-
-    def _transitions(self, side: int, phi: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
-        """The transition approximations of side 0 (phi_inv @ T0^x @ phi)
-        or side 1 (phi @ T1^x @ phi_inv) for broadcasting stacks of maps,
-        with shape (..., m, n, n); the output approximations are A0 @ phi
-        and A1 @ phi_inv. The left factor (phi_inv @ T0^x or phi @ T1^x) is
-        formed once per map of its own stack."""
-        right, left = (phi, phi_inv)[side], (phi_inv, phi)[side]
-        return left[..., None, :, :] @ self.t[side] @ right[..., None, :, :]
+        Each block of ``approximations`` is smoothed and written into its
+        span of ``blocks``, so an output block is smoothed once per map of
+        its own stack; a row's bits depend only on its map pair."""
+        q = self.approximations(phi, phi_inv)
+        row = np.empty(q[0].shape[:-3] + self.p.shape[1:])
+        for (start, stop), block in zip(self.blocks, q):
+            row[..., start:stop] = _smooth(block, self.epsilon).reshape(block.shape[:-3] + (-1,))
+        return _kl_entries(self.p, self.p1, row.reshape(-1, self.p.shape[1]))
 
     def moved(self, phi: np.ndarray, phi_inv: np.ndarray, side: int, j: int, x: np.ndarray) -> np.ndarray:
         """The entries row of the map pair (phi, phi_inv), whose column j of
@@ -194,28 +200,21 @@ class PairObjective:
 
         Moving column j of phi changes column j of phi_inv @ T0^x @ phi and
         of A0 @ phi, every entry of phi @ T1^x @ phi_inv, and nothing of
-        A1 @ phi_inv; a column of phi_inv mirrors this. The products are
-        formed whole, as ``entries`` forms them, but only the changed
+        A1 @ phi_inv; a column of phi_inv mirrors this. The blocks come
+        from ``approximations``, as in ``entries``, but only the changed
         entries are smoothed and rescored (``_smooth_column`` for column
         j), and the others are copied from ``x``: the row equals
         ``entries(phi[None], phi_inv[None])[0]`` bit for bit.
         """
-        eps = self.epsilon
-        maps = (phi[None], phi_inv[None])
-        trans, out = self._transitions(side, *maps), self.a[side] @ maps[side]
-        q = np.concatenate((_smooth_column(trans, j, eps), _smooth_column(out, j, eps)), axis=None)
-        whole = _smooth(self._transitions(1 - side, *maps), eps).reshape(-1)
-        # A row holds side 0's transition and output blocks, then side 1's.
-        # A side's two blocks read as one (m * n + k, n) matrix, so column j
+        eps, b, q = self.epsilon, self.blocks, self.approximations(phi[None], phi_inv[None])
+        # A side's two blocks read as one (m * n + s, n) matrix, so column j
         # of both takes every n-th entry from the side's j-th.
-        n, split = out.shape[-1], self.t[1].size + self.a[1].size
-        if side == 0:
-            column, other = slice(j, split, n), slice(split, split + whole.size)
-        else:
-            column, other = slice(split + j, None, n), slice(0, whole.size)
+        column = slice(b[2 * side][0] + j, b[2 * side + 1][1], q[2 * side].shape[-1])
+        other = slice(*b[2 - 2 * side])
+        changed = np.concatenate([_smooth_column(c, j, eps) for c in q[2 * side : 2 * side + 2]], axis=None)
         p, p1, row = self.p[0], self.p1[0], x.copy()
-        row[column] = _kl_entries(p[column], p1[column], q)
-        row[other] = _kl_entries(p[other], p1[other], whole)
+        row[column] = _kl_entries(p[column], p1[column], changed)
+        row[other] = _kl_entries(p[other], p1[other], _smooth(q[2 - 2 * side], eps).reshape(-1))
         return row
 
     def bounds(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,13 @@ def test_state_distribution_invariants():
     for not_vector in (np.eye(2) / 2, 1.0):
         with pytest.raises(ValueError, match="vector"):
             StateDistribution(not_vector)
+    # A state outside range(n), and an empty state space, have no point
+    # mass or uniform distribution.
+    for bad in ((3, -1), (3, 3), (0, 0)):
+        with pytest.raises(ValueError):
+            StateDistribution.point_mass(*bad)
+    with pytest.raises(ValueError):
+        StateDistribution.uniform(0)
     d = StateDistribution.point_mass(3, 1)
     assert d.probs.tolist() == [0.0, 1.0, 0.0]
     # The distribution holds a copy: changing the caller's array later

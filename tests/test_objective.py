@@ -383,6 +383,49 @@ def test_float_totals_certify_exact_totals(seed, n0, n1, motor, rows, family):
                 assert (c[i] < c[j]) == (hi[i] < lo[j])
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    a=st.integers(1, 3),
+    b=st.integers(1, 3),
+    n0=st.integers(1, 19),
+    n1=st.integers(1, 19),
+    motor=st.integers(1, 3),
+    sensor=st.integers(1, 4),
+    sparse=st.booleans(),
+)
+def test_approximations_equal_per_matrix_products(seed, a, b, n0, n1, motor, sensor, sparse):
+    # Each block of an oracle-shaped stack is, bit for bit, the product
+    # formed for one map pair (or, for an output block, one map) alone;
+    # and the spans in blocks tile a row, each the union of its terms'.
+    rng = np.random.default_rng(seed)
+    mot, sen = _alphabets(motor, sensor)
+    model = _sparse_model if sparse else random_model
+    o0, o1 = model(rng, n0, mot, sen), model(rng, n1, mot, sen)
+    kernel = PairObjective(o0, o1, 1e-9)
+    phi = np.stack([_sparse_stochastic(rng, n0, n1) for _ in range(a)])
+    phi_inv = np.stack([_sparse_stochastic(rng, n1, n0) for _ in range(b)])
+    t0, t1 = ([o.transitions[x] for x in mot] for o in (o0, o1))
+    q = kernel.approximations(phi[:, None], phi_inv[None])
+    assert [block.shape for block in q] == [
+        (a, b, motor, n1, n1),
+        (a, 1, 1, sensor, n1),
+        (a, b, motor, n0, n0),
+        (1, b, 1, sensor, n0),
+    ]
+    for i in range(a):
+        assert q[1][i, 0, 0].tobytes() == (o0.output @ phi[i]).tobytes()
+        for j in range(b):
+            assert q[0][i, j].tobytes() == np.stack([phi_inv[j] @ t @ phi[i] for t in t0]).tobytes()
+            assert q[2][i, j].tobytes() == np.stack([phi[i] @ t @ phi_inv[j] for t in t1]).tobytes()
+    for j in range(b):
+        assert q[3][0, j, 0].tobytes() == (o1.output @ phi_inv[j]).tobytes()
+    edges = [0] + [stop for _, stop in kernel.segments]
+    assert kernel.segments == list(zip(edges, edges[1:])) and edges[-1] == kernel.p.shape[1]
+    ends = [edges[k] for k in np.cumsum([0, motor, 1, motor, 1])]
+    assert kernel.blocks == list(zip(ends, ends[1:]))
+
+
 def _map_column(rng, rows: int, sparse: bool) -> np.ndarray:
     """A column-stochastic column: dense, or with exact zeros (some one-hot)."""
     if sparse:
