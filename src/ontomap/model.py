@@ -17,7 +17,7 @@ STOCHASTIC_TOL = 1e-9
 
 
 class ModelFormatError(ValueError):
-    """Raised when a model or utility file cannot be parsed."""
+    """Raised by ``load_json`` when a model, map or utility file cannot be parsed."""
 
 
 class ModelValidationError(ValueError):
@@ -58,9 +58,7 @@ class StateDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = _freeze(self.probs)
-        if p.ndim != 1:
-            raise ValueError(f"distribution must be a vector, got shape {p.shape}")
+        p = _freeze(self.probs, "distribution", 1)
         violations = column_violations("distribution", p[:, None])
         if violations:
             raise ModelValidationError(violations)
@@ -78,9 +76,12 @@ class StateDistribution:
         return cls(np.ones(n) / n)
 
 
-def _freeze(a) -> np.ndarray:
-    """A read-only float copy of ``a``: the caller's array cannot change it."""
+def _freeze(a, name: str, ndim: int) -> np.ndarray:
+    """A read-only float copy of ``a``: the caller's array cannot change it.
+    ValueError naming ``name`` unless it is a nonempty vector (``ndim`` 1) or matrix (2)."""
     a = np.array(a, dtype=float)
+    if a.ndim != ndim or 0 in a.shape:
+        raise ValueError(f"{name} must be a nonempty {('vector', 'matrix')[ndim - 1]}, got shape {a.shape}")
     a.flags.writeable = False
     return a
 
@@ -104,8 +105,8 @@ class FiniteStateModel:
                 f"transition keys {sorted(self.transitions)} do not match "
                 f"motor alphabet {list(self.motor)}"
             )
-        trans = {x: _freeze(self.transitions[x]) for x in self.motor}
-        out = _freeze(self.output)
+        trans = {x: _freeze(self.transitions[x], f"T^{x}", 2) for x in self.motor}
+        out = _freeze(self.output, "A", 2)
         for x, t in trans.items():
             if t.shape != (self.n, self.n):
                 raise ValueError(f"transition matrix for {x!r} has shape {t.shape}, expected {(self.n, self.n)}")
@@ -181,22 +182,21 @@ def _json_numbers(values) -> bool:
 
 
 def _matrix_from_rows(rows, name: str) -> np.ndarray:
-    """A JSON list of rows of numbers as a float matrix."""
+    """A JSON list of equal-length rows of numbers as a float matrix; an
+    integer past the float range raises numpy's OverflowError."""
     if not (isinstance(rows, list) and all(map(_json_numbers, rows))):
-        raise ModelFormatError(f"{name}: not a list of rows of JSON numbers")
-    try:
-        mat = np.asarray(rows, dtype=float)
-    except (ValueError, OverflowError) as e:
-        raise ModelFormatError(f"{name}: not a numeric matrix ({e})") from None
-    return mat
+        raise TypeError(f"{name}: not a list of rows of JSON numbers")
+    if len(set(map(len, rows))) > 1:
+        raise ValueError(f"{name}: rows of different lengths")
+    return np.asarray(rows, dtype=float)
 
 
-def load_json(source, what: str):
-    """Parse one JSON object from bytes, text or a readable stream.
+def load_json(source, what: str, build):
+    """``build`` applied to the JSON object in bytes, text or a readable stream.
 
     With ``dump_json`` the one home of the file format: bytes that are not
-    UTF-8, JSON that does not parse and a non-object all raise
-    ModelFormatError naming ``what``.
+    UTF-8, JSON that does not parse, a non-object and a field that ``build``
+    finds missing or mistyped all become ModelFormatError naming ``what``.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -204,12 +204,13 @@ def load_json(source, what: str):
         if isinstance(source, bytes):
             source = source.decode("utf-8")
         doc = json.loads(source)
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
+        return build(doc)
     # UnicodeDecodeError and JSONDecodeError are ValueErrors.
-    except (ValueError, RecursionError) as e:
-        raise ModelFormatError(f"malformed {what} file: {e}") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"malformed {what} file: not a JSON object")
-    return doc
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
+        reason = f"missing {e}" if isinstance(e, KeyError) else e
+        raise ModelFormatError(f"malformed {what} file: {reason}") from None
 
 
 def dump_json(doc) -> bytes:
@@ -222,7 +223,7 @@ def _json_int(doc: dict, key: str) -> int:
     """``doc[key]`` if it is a JSON integer (a bool is not)."""
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+        raise TypeError(f"{key!r} must be an integer, got {value!r:.40}")
     return value
 
 
@@ -230,7 +231,7 @@ def _json_strings(doc: dict, key: str) -> tuple[str, ...]:
     """``doc[key]`` if it is a JSON list of strings."""
     value = doc[key]
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise TypeError(f"{key!r} must be a list of strings, got {value!r}")
+        raise TypeError(f"{key!r} must be a list of strings, got {value!r:.40}")
     return tuple(value)
 
 
@@ -243,20 +244,20 @@ def read_model(source) -> FiniteStateModel:
     Columns are validated to sum to 1 within 1e-9, then renormalized
     exactly so downstream math sees exact simplex points.
     """
-    doc = load_json(source, "model")
-    try:
+
+    def build(doc):
         raw_trans = doc["transitions"]
         if not isinstance(raw_trans, dict):
             raise TypeError("'transitions' must be a JSON object keyed by motor symbol")
-        model = FiniteStateModel(
+        return FiniteStateModel(
             n=_json_int(doc, "states"),
             motor=Alphabet(_json_strings(doc, "motor")),
             sensor=Alphabet(_json_strings(doc, "sensor")),
             transitions={x: _matrix_from_rows(rows, f"T^{x}") for x, rows in raw_trans.items()},
             output=_matrix_from_rows(doc["output"], "A"),
         )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ModelFormatError(f"missing or malformed field: {e}") from None
+
+    model = load_json(source, "model", build)
     violations = validate_model(model)
     if violations:
         raise ModelValidationError(violations)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .divergence import DEFAULT_POLICY, SmoothingPolicy, _fsums, _kl_entries, _smooth, _smooth_column
 from .divergence import kl_columns  # noqa: F401  (perfbench/spans.py wraps it here)
-from .model import FiniteStateModel, ModelFormatError, ModelValidationError, dump_json, load_json
+from .model import FiniteStateModel, ModelValidationError, dump_json, load_json
 from .model import _freeze, _matrix_from_rows, column_violations, validate_model
 
 
@@ -44,10 +44,7 @@ class OntologyMap:
     phi_inv: np.ndarray
 
     def __post_init__(self):
-        phi, phi_inv = _freeze(self.phi), _freeze(self.phi_inv)
-        for name, m in (("phi", phi), ("phi_inv", phi_inv)):
-            if m.ndim != 2:
-                raise ValueError(f"{name} must be a matrix")
+        phi, phi_inv = _freeze(self.phi, "phi", 2), _freeze(self.phi_inv, "phi_inv", 2)
         violations = column_violations("phi", phi) + column_violations("phi_inv", phi_inv)
         if violations:
             raise ModelValidationError(violations)
@@ -96,12 +93,8 @@ class ObjectiveReport:
 
 def read_map(source) -> OntologyMap:
     """Parse a map file: JSON with row-major ``phi`` and ``phi_inv``."""
-    doc = load_json(source, "map")
-    try:
-        phi, phi_inv = doc["phi"], doc["phi_inv"]
-    except KeyError as e:
-        raise ModelFormatError(f"malformed map file: missing {e}") from None
-    return OntologyMap(phi=_matrix_from_rows(phi, "phi"), phi_inv=_matrix_from_rows(phi_inv, "phi_inv"))
+    phi, phi_inv = load_json(source, "map", lambda doc: [_matrix_from_rows(doc[k], k) for k in ("phi", "phi_inv")])
+    return OntologyMap(phi=phi, phi_inv=phi_inv)
 
 
 def write_map(mapping: OntologyMap) -> bytes:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelFormatError, _freeze, _json_int, _json_numbers, dump_json, load_json
+from .model import _freeze, _json_int, _json_numbers, dump_json, load_json
 from .objective import OntologyMap
 
 
@@ -22,9 +22,7 @@ class UtilityVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _freeze(self.values)
-        if v.ndim != 1:
-            raise ValueError(f"utility values must be a vector, got shape {v.shape}")
+        v = _freeze(self.values, "utility values", 1)
         if not np.all(np.isfinite(v)):
             raise ValueError("utility values must be finite")
         object.__setattr__(self, "values", v)
@@ -43,20 +41,16 @@ def translate(u: UtilityVector, mapping: OntologyMap) -> UtilityVector:
 
 
 def read_utility(source) -> UtilityVector:
-    doc = load_json(source, "utility")
-    try:
+    def build(doc):
         n = _json_int(doc, "model_states")
         values = doc["values"]
         if not _json_numbers(values):
-            raise TypeError(f"'values' must be a list of numbers, got {values!r}")
-        values = [float(v) for v in values]
-    except (KeyError, TypeError, OverflowError) as e:
-        raise ModelFormatError(f"malformed utility file: {e}") from None
-    if len(values) != n:
-        raise ModelFormatError(
-            f"utility declares {n} states but lists {len(values)} values"
-        )
-    return UtilityVector(values)
+            raise TypeError(f"'values' must be a list of numbers, got {values!r:.40}")
+        if len(values) != n:
+            raise ValueError(f"utility declares {n} states but lists {len(values)} values")
+        return np.asarray(values, dtype=float)
+
+    return UtilityVector(load_json(source, "utility", build))
 
 
 def write_utility(u: UtilityVector) -> bytes:

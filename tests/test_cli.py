@@ -246,7 +246,10 @@ def test_bad_input_exits_1(argv, corridor_files, tmp_path, capsys):
         "validate {motor_string}",
         "map {numeric_strings} {c2}",
         "objective {c4} {c5} {map_strings}",
+        "objective {c4} {c5} {map_no_phi_inv}",
+        "objective {c4} {c5} {map_ragged}",
         "translate {utility_bool} {map}",
+        "translate {utility_no_values} {map}",
         "map {c2} {c2} --restarts 1 --max-iters 3 --out {c2}/sub",
         "corridor --length 3 --out /nonexistent/x.json",
     ]
@@ -258,6 +261,7 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
     c2 = write_model(build_corridor(CorridorSpec(2)))
     doc = json.loads(c2)
     doc4 = json.loads(p4.read_bytes())
+    published = json.loads(write_map(published_corridor_map()))
     files = {
         "c2": c2,
         "map": write_map(published_corridor_map()),
@@ -271,7 +275,10 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
             {"phi": [[str(v) for v in row] for row in published_corridor_map().phi.tolist()],
              "phi_inv": published_corridor_map().phi_inv.tolist()}
         ).encode(),
+        "map_no_phi_inv": json.dumps({"phi": published["phi"]}).encode(),
+        "map_ragged": json.dumps(dict(published, phi=[published["phi"][0][:-1]] + published["phi"][1:])).encode(),
         "utility_bool": b'{"model_states": 4, "values": [0, 0, 0, true]}',
+        "utility_no_values": b'{"model_states": 4}',
         "states_5": json.dumps(dict(doc4, states=5)).encode(),  # 4 x 4 matrices
         "no_R": json.dumps(dict(doc4, transitions={"L": doc4["transitions"]["L"]})).encode(),
         "extra_key": json.dumps(dict(doc4, transitions=dict(doc4["transitions"], U=doc4["transitions"]["L"]))).encode(),
@@ -288,6 +295,11 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # Each file the command reads but refuses by its content (not a missing
+    # path, a directory or an unwritable --out) is named by its kind.
+    if not any(s in argv for s in ("{missing}", "{directory}", "--out")):
+        what = {"validate": "model", "map": "model", "objective": "map", "translate": "utility"}[args[0]]
+        assert err.startswith(f"error: malformed {what} file: ")
 
 
 def test_parser_built_once_per_process(corridor_files, capsys):

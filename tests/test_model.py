@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.model import (
     Alphabet,
     FiniteStateModel,
@@ -192,9 +193,24 @@ def test_read_rejects_malformed(corridor4):
         json.dumps(dict(doc, transitions=dict(doc["transitions"], L=[[str(v) for v in row] for row in doc["transitions"]["L"]]))),
         json.dumps(dict(doc, output=[[v == 1.0 or v for v in row] for row in doc["output"]])),  # true for 1.0
         json.dumps(dict(doc, output=[1.0] * len(doc["output"]))),
+        json.dumps(dict(doc, transitions=dict(doc["transitions"], L=[[1.0, 0.0]] + doc["transitions"]["L"][1:]))),
+        json.dumps(dict(doc, output=[[10**400] + doc["output"][0][1:]] + doc["output"][1:])),  # past the float range
     ):
         with pytest.raises(ModelFormatError):
             read_model(bad)
+
+
+def test_read_error_names_a_bad_value_briefly(corridor4):
+    import json
+
+    # A whole matrix where an integer or a list of strings belongs is
+    # quoted by its first characters only.
+    big = build_corridor(CorridorSpec(64)).transitions["L"].tolist()
+    doc = json.loads(write_model(corridor4))
+    for key in ("states", "motor"):
+        with pytest.raises(ModelFormatError, match=f"malformed model file: '{key}' must be") as exc:
+            read_model(json.dumps(dict(doc, **{key: big})))
+        assert len(str(exc.value)) < 200
 
 
 def test_read_rejects_dimension_mismatch(corridor4):

@@ -26,6 +26,9 @@ def test_map_invariants():
         OntologyMap(phi=[[0.5], [0.4]], phi_inv=[[1.0, 1.0]])
     with pytest.raises(ValueError):
         OntologyMap(phi=np.eye(2), phi_inv=np.eye(3))
+    # A map between empty state spaces has no columns to check.
+    with pytest.raises(ValueError, match="nonempty matrix"):
+        OntologyMap(phi=np.zeros((0, 0)), phi_inv=np.zeros((0, 0)))
 
 
 def test_identity_map_on_same_model():

@@ -17,6 +17,13 @@ def test_rejects_nonfinite():
     for not_vector in (np.ones((2, 2)), 1.0):
         with pytest.raises(ValueError, match="vector"):
             UtilityVector(not_vector)
+    # Nor is an empty vector, in memory or in a file; the file parses, so
+    # its refusal is a domain error, not a format error.
+    with pytest.raises(ValueError, match="nonempty vector"):
+        UtilityVector([])
+    with pytest.raises(ValueError, match="nonempty vector") as exc:
+        read_utility(b'{"model_states": 0, "values": []}')
+    assert not isinstance(exc.value, ModelFormatError)
     # The utility holds a copy, so it stays finite when the caller's array
     # turns NaN after validation.
     source = np.array([1.0, 2.0])
@@ -70,11 +77,19 @@ def test_read_utility_length_mismatch():
         b'{"model_states": 2, "values": ["1.5", true]}',
         b'{"model_states": 2, "values": "12"}',  # float() would read 1.0, 2.0
         b'{"model_states": 1, "values": [false]}',
+        b'{"model_states": 1, "values": [1' + b"0" * 400 + b"]}",  # past the float range
     ],
 )
 def test_read_utility_rejects_malformed(data):
     with pytest.raises(ModelFormatError):
         read_utility(data)
+
+
+def test_read_utility_names_a_flat_list():
+    # A utility has no rows: its values are one list of numbers.
+    for values in (b'"12"', b'["1.5", true]'):
+        with pytest.raises(ModelFormatError, match="'values' must be a list of numbers"):
+            read_utility(b'{"model_states": 2, "values": ' + values + b"}")
 
 
 def _random_map(rng, n0, n1):
