@@ -89,7 +89,7 @@ def _freeze(a, name: str, ndim: int) -> np.ndarray:
 @dataclass(frozen=True)
 class FiniteStateModel:
     """n hidden states, one n-by-n transition matrix per motor symbol, one
-    s-by-n output matrix. All matrices column-stochastic."""
+    s-by-n output matrix. All matrices column-stochastic, or ModelValidationError."""
 
     n: int
     motor: Alphabet
@@ -107,13 +107,17 @@ class FiniteStateModel:
             )
         trans = {x: _freeze(self.transitions[x], f"T^{x}", 2) for x in self.motor}
         out = _freeze(self.output, "A", 2)
+        n = f"{self.n!r:.40}"  # a huge declared count is quoted briefly
         for x, t in trans.items():
             if t.shape != (self.n, self.n):
-                raise ValueError(f"transition matrix for {x!r} has shape {t.shape}, expected {(self.n, self.n)}")
+                raise ValueError(f"transition matrix for {x!r} has shape {t.shape}, expected ({n}, {n})")
         if out.shape != (len(self.sensor), self.n):
-            raise ValueError(f"output matrix has shape {out.shape}, expected {(len(self.sensor), self.n)}")
+            raise ValueError(f"output matrix has shape {out.shape}, expected ({len(self.sensor)}, {n})")
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "output", out)
+        violations = validate_model(self)
+        if violations:
+            raise ModelValidationError(violations)
 
     def transition(self, x: str) -> np.ndarray:
         try:
@@ -152,7 +156,7 @@ def validate_model(model: FiniteStateModel) -> list[str]:
     """Return a list of invariant violations; empty iff the model is valid.
 
     Violations name the offending matrix, its 1-based column, and the
-    measured column sum or out-of-range entry.
+    measured column sum or out-of-range entry. FiniteStateModel raises on any.
     """
     violations: list[str] = []
     for x in model.motor:
@@ -197,6 +201,7 @@ def load_json(source, what: str, build):
     With ``dump_json`` the one home of the file format: bytes that are not
     UTF-8, JSON that does not parse, a non-object and a field that ``build``
     finds missing or mistyped all become ModelFormatError naming ``what``.
+    A ModelValidationError from ``build`` passes through unchanged.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -207,6 +212,8 @@ def load_json(source, what: str, build):
         if not isinstance(doc, dict):
             raise TypeError("not a JSON object")
         return build(doc)
+    except ModelValidationError:
+        raise
     # UnicodeDecodeError and JSONDecodeError are ValueErrors.
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
         reason = f"missing {e}" if isinstance(e, KeyError) else e
@@ -240,9 +247,9 @@ def read_model(source) -> FiniteStateModel:
 
     Matrices in the file are row-major nested lists; they are interpreted
     column-stochastically (see module docstring). A missing or mistyped
-    field, and whatever ``FiniteStateModel`` refuses, is a format error.
-    Columns are validated to sum to 1 within 1e-9, then renormalized
-    exactly so downstream math sees exact simplex points.
+    field, or a key or shape that ``FiniteStateModel`` refuses, is a format
+    error; columns off the simplex raise its ModelValidationError. Valid
+    columns are clipped at 0 and renormalized exactly, onto the simplex.
     """
 
     def build(doc):
@@ -257,15 +264,12 @@ def read_model(source) -> FiniteStateModel:
             output=_matrix_from_rows(doc["output"], "A"),
         )
 
+    def simplex(m):
+        m = m.clip(0)  # else renormalizing can push an entry just below 0 past the tolerance
+        return m / m.sum(axis=0, keepdims=True)
+
     model = load_json(source, "model", build)
-    violations = validate_model(model)
-    if violations:
-        raise ModelValidationError(violations)
-    return replace(
-        model,
-        transitions={x: t / t.sum(axis=0, keepdims=True) for x, t in model.transitions.items()},
-        output=model.output / model.output.sum(axis=0, keepdims=True),
-    )
+    return replace(model, transitions={x: simplex(t) for x, t in model.transitions.items()}, output=simplex(model.output))
 
 
 def write_model(model: FiniteStateModel) -> bytes:

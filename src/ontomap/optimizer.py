@@ -70,8 +70,6 @@ class OptimizationResult:
 
 def random_map(n0: int, n1: int, rng: np.random.Generator) -> OntologyMap:
     """Map pair with each column drawn uniformly from the simplex."""
-    if n0 < 1 or n1 < 1:
-        raise ValueError("state counts must be positive")
     phi = rng.standard_exponential((n0, n1))
     phi_inv = rng.standard_exponential((n1, n0))
     return OntologyMap(

@@ -47,7 +47,7 @@ def read_utility(source) -> UtilityVector:
         if not _json_numbers(values):
             raise TypeError(f"'values' must be a list of numbers, got {values!r:.40}")
         if len(values) != n:
-            raise ValueError(f"utility declares {n} states but lists {len(values)} values")
+            raise ValueError(f"utility declares {n!r:.40} states but lists {len(values)} values")
         return np.asarray(values, dtype=float)
 
     return UtilityVector(load_json(source, "utility", build))

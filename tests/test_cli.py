@@ -250,11 +250,12 @@ def test_bad_input_exits_1(argv, corridor_files, tmp_path, capsys):
         "objective {c4} {c5} {map_ragged}",
         "translate {utility_bool} {map}",
         "translate {utility_no_values} {map}",
+        "translate {utility_huge} {map}",
         "map {c2} {c2} --restarts 1 --max-iters 3 --out {c2}/sub",
         "corridor --length 3 --out /nonexistent/x.json",
     ]
     # Files that parse but that FiniteStateModel refuses.
-    + [f"validate {{{kind}}}" for kind in ("states_5", "no_R", "extra_key", "states_0", "output_2_rows")],
+    + [f"validate {{{kind}}}" for kind in ("states_5", "no_R", "extra_key", "states_0", "output_2_rows", "states_huge")],
 )
 def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
     p4, p5 = corridor_files
@@ -279,11 +280,13 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
         "map_ragged": json.dumps(dict(published, phi=[published["phi"][0][:-1]] + published["phi"][1:])).encode(),
         "utility_bool": b'{"model_states": 4, "values": [0, 0, 0, true]}',
         "utility_no_values": b'{"model_states": 4}',
+        "utility_huge": b'{"model_states": 1' + b"0" * 400 + b', "values": [0, 0, 0, 1]}',
         "states_5": json.dumps(dict(doc4, states=5)).encode(),  # 4 x 4 matrices
         "no_R": json.dumps(dict(doc4, transitions={"L": doc4["transitions"]["L"]})).encode(),
         "extra_key": json.dumps(dict(doc4, transitions=dict(doc4["transitions"], U=doc4["transitions"]["L"]))).encode(),
         "states_0": json.dumps(dict(doc4, states=0)).encode(),
         "output_2_rows": json.dumps(dict(doc4, output=doc4["output"][:2])).encode(),
+        "states_huge": json.dumps(dict(doc4, states=10**400)).encode(),
     }
     paths = {"c4": p4, "c5": p5, "missing": tmp_path / "missing.json", "directory": tmp_path}
     for name, data in files.items():
@@ -295,6 +298,8 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # A huge number in a file is quoted by its first 40 characters.
+    assert max(map(len, err.splitlines())) < 200
     # Each file the command reads but refuses by its content (not a missing
     # path, a directory or an unwritable --out) is named by its kind.
     if not any(s in argv for s in ("{missing}", "{directory}", "--out")):

@@ -80,6 +80,13 @@ def _random_stochastic(rng, rows, cols, interior=False):
     return m / m.sum(axis=0, keepdims=True)
 
 
+def test_vectors_score_as_one_column_matrices():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        p, q = _random_stochastic(rng, 5, 2).T
+        assert kl_columns(p, q).hex() == kl_columns(p[:, None], q[:, None]).hex()
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

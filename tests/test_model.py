@@ -79,14 +79,15 @@ def test_validate_single_state_model():
 def test_validate_reports_broken_column(corridor4):
     t_left = np.array(corridor4.transitions["L"])
     t_left[0, 0] = 0.5
-    broken = FiniteStateModel(
-        n=4,
-        motor=corridor4.motor,
-        sensor=corridor4.sensor,
-        transitions={"L": t_left, "R": corridor4.transitions["R"]},
-        output=corridor4.output,
-    )
-    report = validate_model(broken)
+    with pytest.raises(ModelValidationError) as e:
+        FiniteStateModel(
+            n=4,
+            motor=corridor4.motor,
+            sensor=corridor4.sensor,
+            transitions={"L": t_left, "R": corridor4.transitions["R"]},
+            output=corridor4.output,
+        )
+    report = e.value.violations
     assert len(report) == 1
     assert "T^L column 1" in report[0]
     assert "0.5" in report[0]
@@ -124,6 +125,11 @@ def test_step_rejects_unknown_symbol(corridor4):
 def test_step_rejects_wrong_length(corridor4):
     with pytest.raises(ValueError):
         step(corridor4, StateDistribution.uniform(3), "L")
+
+
+def test_observe_rejects_wrong_length(corridor4):
+    with pytest.raises(ValueError, match="length 3, model has 4 states"):
+        observe(corridor4, StateDistribution.uniform(3))
 
 
 def test_observe_corridor_ends(corridor4):
@@ -231,10 +237,13 @@ def test_read_renormalizes_columns():
         "sensor": ["s1", "s2"],
         # sums differ from 1 by less than 1e-9; read must renormalize exactly
         "transitions": {"a": [[0.3000000001, 1.0], [0.7, 0.0]]},
-        "output": [[1.0, 0.0], [0.0, 1.0]],
+        # column 1 sums to 1 - 1e-9 and holds -1e-9, both within the
+        # tolerance; dividing by the sum alone would give -1.000000001e-9
+        "output": [[1.0, 0.0], [-1e-9, 1.0]],
     }
     m = read_model(json.dumps(doc))
     assert m.transitions["a"].sum(axis=0).tolist() == [1.0, 1.0]
+    assert m.output.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 simplex4 = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(

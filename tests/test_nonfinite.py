@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import kl_columns
-from ontomap.model import FiniteStateModel, StateDistribution, read_model, validate_model, write_model
+from ontomap.model import FiniteStateModel, ModelValidationError, StateDistribution, read_model, write_model
 from ontomap.objective import OntologyMap, read_map, write_map
 from ontomap.utility import UtilityVector, read_utility, write_utility
 
@@ -94,11 +94,12 @@ def test_validate_model_direct(data, value, matrix):
         output = _spoiled(output, data, value)
     else:
         transitions[matrix] = _spoiled(transitions[matrix], data, value)
-    model = FiniteStateModel(
-        n=CORRIDOR.n, motor=CORRIDOR.motor, sensor=CORRIDOR.sensor,
-        transitions=transitions, output=output,
-    )
-    violations = validate_model(model)
+    with pytest.raises(ModelValidationError) as e:
+        FiniteStateModel(
+            n=CORRIDOR.n, motor=CORRIDOR.motor, sensor=CORRIDOR.sensor,
+            transitions=transitions, output=output,
+        )
+    violations = e.value.violations
     assert f"entry {value!r} outside [0, 1]" in violations[0]
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import permuted_copy, published_corridor_map, random_model, reference_terms
 from ontomap.corridor import CorridorSpec, build_corridor
-from ontomap.model import Alphabet, FiniteStateModel
+from ontomap.model import Alphabet, FiniteStateModel, ModelValidationError
 from ontomap.objective import OntologyMap, PairObjective, evaluate, read_map, write_map
 from ontomap.optimizer import OptimizerConfig, hill_climb, optimize
 from ontomap.oracle import grid_step_variation, oracle_search
@@ -113,13 +113,19 @@ def _bad_pair(kind: str):
     [
         ("motor", "share motor and sensor"),
         ("sensor", "share motor and sensor"),
-        ("off_simplex", "o0 is not a valid model"),
-        ("nan", "o1 is not a valid model"),
+        ("off_simplex", "T^L column 1: sum 0.9, expected 1"),
+        ("nan", "A column 1: entry nan outside [0, 1]"),
     ],
 )
 def test_every_entry_point_rejects_bad_pairs(kind, message):
-    # Each entry point builds a PairObjective, which checks its pair before
-    # anything is scored: no KeyError, and no total for an invalid pair.
+    # A model off the simplex cannot be built, so no entry point is handed
+    # one. Each entry point builds a PairObjective, which checks the pair's
+    # alphabets before anything is scored: no KeyError, and no total.
+    if kind in ("off_simplex", "nan"):
+        with pytest.raises(ModelValidationError) as e:
+            _bad_pair(kind)
+        assert e.value.violations[0] == message
+        return
     o0, o1 = _bad_pair(kind)
     mapping = OntologyMap(phi=np.full((2, 2), 0.5), phi_inv=np.full((2, 2), 0.5))
     config = OptimizerConfig(restarts=1, max_iters=5)

@@ -52,6 +52,13 @@ def test_random_map_trivial_case():
     assert m.phi_inv.tolist() == [[1.0]]
 
 
+@pytest.mark.parametrize("n0, n1", [(0, 3), (3, 0), (-1, 3)])
+def test_random_map_rejects_empty_and_negative_sizes(n0, n1):
+    # RuntimeWarning is an error in this suite, so a 0/0 would fail here too.
+    with pytest.raises(ValueError):
+        random_map(n0, n1, np.random.default_rng(0))
+
+
 def test_random_map_deterministic():
     a = random_map(4, 5, np.random.default_rng(7))
     b = random_map(4, 5, np.random.default_rng(7))
@@ -147,19 +154,21 @@ def test_hill_climb_matches_reference_objective(corridor4, corridor5, monkeypatc
     assert fast.phi_inv.tobytes() == slow.phi_inv.tobytes()
 
 
-def test_optimize_validates_models_once(corridor4, corridor5, monkeypatch):
-    # optimize checks both models up front; the restarts trust them.
-    import ontomap.objective
+def test_optimize_validates_models_once(monkeypatch):
+    # Each model checks itself when it is built; optimize trusts them.
+    import ontomap.model
 
     calls = []
-    real = ontomap.objective.validate_model
+    real = ontomap.model.validate_model
 
     def counting(model):
         calls.append(model)
         return real(model)
 
-    monkeypatch.setattr(ontomap.objective, "validate_model", counting)
-    optimize(corridor4, corridor5, OptimizerConfig(restarts=10, max_iters=10))
+    monkeypatch.setattr(ontomap.model, "validate_model", counting)
+    o0, o1 = build_corridor(CorridorSpec(4)), build_corridor(CorridorSpec(5))
+    assert len(calls) == 2  # once per model, when it is built
+    optimize(o0, o1, OptimizerConfig(restarts=10, max_iters=10))
     assert len(calls) == 2
 
 
