@@ -9,7 +9,7 @@ motor symbol ``x`` is ``T^x @ d`` and the sensor distribution is ``A @ d``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,7 +89,8 @@ def _freeze(a, name: str, ndim: int) -> np.ndarray:
 @dataclass(frozen=True)
 class FiniteStateModel:
     """n hidden states, one n-by-n transition matrix per motor symbol, one
-    s-by-n output matrix. All matrices column-stochastic, or ModelValidationError."""
+    s-by-n output matrix. Each column within STOCHASTIC_TOL of the simplex, or
+    ModelValidationError; the model stores it clipped at 0 and renormalized exactly."""
 
     n: int
     motor: Alphabet
@@ -118,12 +119,11 @@ class FiniteStateModel:
         violations = validate_model(self)
         if violations:
             raise ModelValidationError(violations)
-
-    def transition(self, x: str) -> np.ndarray:
-        try:
-            return self.transitions[x]
-        except KeyError:
-            raise KeyError(f"unknown motor symbol {x!r}; alphabet is {list(self.motor)}") from None
+        for m in (*trans.values(), out):  # the model's own copies, so in place
+            m.flags.writeable = True
+            m.clip(0, out=m)  # else renormalizing can push an entry just below 0 past the tolerance
+            m /= m.sum(axis=0)
+            m.flags.writeable = False
 
 
 def column_violations(name: str, mat) -> list[str]:
@@ -168,8 +168,9 @@ def step(model: FiniteStateModel, d: StateDistribution, x: str) -> StateDistribu
     """One time step: the state distribution after emitting motor symbol x."""
     if len(d) != model.n:
         raise ValueError(f"distribution has length {len(d)}, model has {model.n} states")
-    t = model.transition(x)
-    return StateDistribution(t @ d.probs)
+    if x not in model.transitions:
+        raise KeyError(f"unknown motor symbol {x!r}; alphabet is {list(model.motor)}")
+    return StateDistribution(model.transitions[x] @ d.probs)
 
 
 def observe(model: FiniteStateModel, d: StateDistribution) -> np.ndarray:
@@ -186,13 +187,15 @@ def _json_numbers(values) -> bool:
 
 
 def _matrix_from_rows(rows, name: str) -> np.ndarray:
-    """A JSON list of equal-length rows of numbers as a float matrix; an
-    integer past the float range raises numpy's OverflowError."""
+    """A JSON list of equal-length rows of numbers as a float matrix."""
     if not (isinstance(rows, list) and all(map(_json_numbers, rows))):
         raise TypeError(f"{name}: not a list of rows of JSON numbers")
     if len(set(map(len, rows))) > 1:
         raise ValueError(f"{name}: rows of different lengths")
-    return np.asarray(rows, dtype=float)
+    try:
+        return np.asarray(rows, dtype=float)
+    except OverflowError:
+        raise OverflowError(f"{name}: an entry is past the float range") from None
 
 
 def load_json(source, what: str, build):
@@ -248,8 +251,7 @@ def read_model(source) -> FiniteStateModel:
     Matrices in the file are row-major nested lists; they are interpreted
     column-stochastically (see module docstring). A missing or mistyped
     field, or a key or shape that ``FiniteStateModel`` refuses, is a format
-    error; columns off the simplex raise its ModelValidationError. Valid
-    columns are clipped at 0 and renormalized exactly, onto the simplex.
+    error; columns off the simplex raise its ModelValidationError.
     """
 
     def build(doc):
@@ -264,12 +266,7 @@ def read_model(source) -> FiniteStateModel:
             output=_matrix_from_rows(doc["output"], "A"),
         )
 
-    def simplex(m):
-        m = m.clip(0)  # else renormalizing can push an entry just below 0 past the tolerance
-        return m / m.sum(axis=0, keepdims=True)
-
-    model = load_json(source, "model", build)
-    return replace(model, transitions={x: simplex(t) for x, t in model.transitions.items()}, output=simplex(model.output))
+    return load_json(source, "model", build)
 
 
 def write_model(model: FiniteStateModel) -> bytes:

@@ -248,6 +248,7 @@ def test_bad_input_exits_1(argv, corridor_files, tmp_path, capsys):
         "objective {c4} {c5} {map_strings}",
         "objective {c4} {c5} {map_no_phi_inv}",
         "objective {c4} {c5} {map_ragged}",
+        "objective {c4} {c5} {map_huge}",
         "translate {utility_bool} {map}",
         "translate {utility_no_values} {map}",
         "translate {utility_huge} {map}",
@@ -278,6 +279,7 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
         ).encode(),
         "map_no_phi_inv": json.dumps({"phi": published["phi"]}).encode(),
         "map_ragged": json.dumps(dict(published, phi=[published["phi"][0][:-1]] + published["phi"][1:])).encode(),
+        "map_huge": json.dumps(dict(published, phi=[[10**400] + published["phi"][0][1:]] + published["phi"][1:])).encode(),
         "utility_bool": b'{"model_states": 4, "values": [0, 0, 0, true]}',
         "utility_no_values": b'{"model_states": 4}',
         "utility_huge": b'{"model_states": 1' + b"0" * 400 + b', "values": [0, 0, 0, 1]}',
@@ -305,6 +307,8 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
     if not any(s in argv for s in ("{missing}", "{directory}", "--out")):
         what = {"validate": "model", "map": "model", "objective": "map", "translate": "utility"}[args[0]]
         assert err.startswith(f"error: malformed {what} file: ")
+    if "{map_huge}" in argv:  # an integer past the float range is named by its matrix
+        assert err == "error: malformed map file: phi: an entry is past the float range\n"
 
 
 def test_parser_built_once_per_process(corridor_files, capsys):

@@ -200,10 +200,12 @@ def test_read_rejects_malformed(corridor4):
         json.dumps(dict(doc, output=[[v == 1.0 or v for v in row] for row in doc["output"]])),  # true for 1.0
         json.dumps(dict(doc, output=[1.0] * len(doc["output"]))),
         json.dumps(dict(doc, transitions=dict(doc["transitions"], L=[[1.0, 0.0]] + doc["transitions"]["L"][1:]))),
-        json.dumps(dict(doc, output=[[10**400] + doc["output"][0][1:]] + doc["output"][1:])),  # past the float range
     ):
         with pytest.raises(ModelFormatError):
             read_model(bad)
+    # A 401-digit integer, past the float range, is named by its matrix.
+    with pytest.raises(ModelFormatError, match="^malformed model file: A: an entry is past the float range$"):
+        read_model(json.dumps(dict(doc, output=[[10**400] + doc["output"][0][1:]] + doc["output"][1:])))
 
 
 def test_read_error_names_a_bad_value_briefly(corridor4):
@@ -241,9 +243,28 @@ def test_read_renormalizes_columns():
         # tolerance; dividing by the sum alone would give -1.000000001e-9
         "output": [[1.0, 0.0], [-1e-9, 1.0]],
     }
-    m = read_model(json.dumps(doc))
-    assert m.transitions["a"].sum(axis=0).tolist() == [1.0, 1.0]
-    assert m.output.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    # A model built in memory from the same numbers holds the same columns.
+    given = {"a": np.array(doc["transitions"]["a"]), "A": np.array(doc["output"])}
+    before = {k: v.tobytes() for k, v in given.items()}
+    built = FiniteStateModel(
+        n=2, motor=Alphabet(("a",)), sensor=Alphabet(("s1", "s2")), transitions={"a": given["a"]}, output=given["A"]
+    )
+    for m in (read_model(json.dumps(doc)), built):
+        assert m.transitions["a"].sum(axis=0).tolist() == [1.0, 1.0]
+        assert m.output.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert not (m.transitions["a"].flags.writeable or m.output.flags.writeable)
+    # The constructor renormalizes its own copies, never the caller's arrays.
+    assert {k: v.tobytes() for k, v in given.items()} == before
+
+
+def test_read_validates_once(corridor4, monkeypatch):
+    import ontomap.model
+
+    calls = []
+    validate = ontomap.model.validate_model
+    monkeypatch.setattr(ontomap.model, "validate_model", lambda m: calls.append(m) or validate(m))
+    read_model(write_model(corridor4))
+    assert len(calls) == 1
 
 
 simplex4 = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
