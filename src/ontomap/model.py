@@ -47,9 +47,6 @@ class Alphabet:
     def __iter__(self):
         return iter(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        return self.symbols.index(symbol)
-
 
 @dataclass(frozen=True)
 class StateDistribution:

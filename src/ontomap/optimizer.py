@@ -162,12 +162,10 @@ def _climb(
         # Each row is a copy of its restart's current maps with one column moved.
         rows = (maps[0].take(owner, axis=0), maps[1].take(owner, axis=0))
         for m in (0, 1):
-            picked = [k for k, p in enumerate(props) if p[0] == m]
+            picked = [(k, j, noise, step[owner[k]]) for k, (side, j, noise) in enumerate(props) if side == m]
             if picked:
-                at = (np.array(picked), slice(None), np.array([props[k][1] for k in picked]))  # moved columns
-                noise = np.array([props[k][2] for k in picked])
-                steps = np.array([step[owner[k]] for k in picked])
-                rows[m][at] = _perturb_rows(rows[m][at], steps, objective.epsilon, noise)
+                k, j, noise, steps = map(np.array, zip(*picked))  # the moved columns and their moves
+                rows[m][k, :, j] = _perturb_rows(rows[m][k, :, j], steps, objective.epsilon, noise)
         if objective.batch == 1:  # one restart, one proposal
             m, j, _ = props[0]
             x_new = objective.moved(rows[0][0], rows[1][0], m, j, x[owner[0]])[None]

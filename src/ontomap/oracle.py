@@ -143,19 +143,12 @@ def grid_step_variation(
     objective.check_map(mapping)
     base = objective.report(mapping.phi, mapping.phi_inv).total
     worst = 0.0
-    for which in ("phi", "phi_inv"):
-        mat = getattr(mapping, which)
-        rows, cols = mat.shape
-        for j in range(cols):
-            for a in range(rows):
-                for b in range(rows):
-                    if a == b or mat[a, j] < resolution:
-                        continue
-                    phi = np.array(mapping.phi)
-                    phi_inv = np.array(mapping.phi_inv)
-                    target = phi if which == "phi" else phi_inv
-                    target[a, j] -= resolution
-                    target[b, j] += resolution
-                    total = objective.report(phi, phi_inv).total
-                    worst = max(worst, abs(total - base))
+    for m, mat in enumerate((mapping.phi, mapping.phi_inv)):
+        for a, j in np.argwhere(mat >= resolution):
+            for b in range(len(mat)):
+                if b != a:
+                    moved = [np.array(mapping.phi), np.array(mapping.phi_inv)]
+                    moved[m][a, j] -= resolution
+                    moved[m][b, j] += resolution
+                    worst = max(worst, abs(objective.report(*moved).total - base))
     return worst

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _freeze, _json_int, _json_numbers, dump_json, load_json
+from .model import _freeze, _json_int, _json_numbers, _matrix_from_rows, dump_json, load_json
 from .objective import OntologyMap
 
 
@@ -48,7 +48,7 @@ def read_utility(source) -> UtilityVector:
             raise TypeError(f"'values' must be a list of numbers, got {values!r:.40}")
         if len(values) != n:
             raise ValueError(f"utility declares {n!r:.40} states but lists {len(values)} values")
-        return np.asarray(values, dtype=float)
+        return _matrix_from_rows([values], "values")[0]
 
     return UtilityVector(load_json(source, "utility", build))
 

@@ -252,6 +252,7 @@ def test_bad_input_exits_1(argv, corridor_files, tmp_path, capsys):
         "translate {utility_bool} {map}",
         "translate {utility_no_values} {map}",
         "translate {utility_huge} {map}",
+        "translate {utility_value_huge} {map}",
         "map {c2} {c2} --restarts 1 --max-iters 3 --out {c2}/sub",
         "corridor --length 3 --out /nonexistent/x.json",
     ]
@@ -283,6 +284,7 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
         "utility_bool": b'{"model_states": 4, "values": [0, 0, 0, true]}',
         "utility_no_values": b'{"model_states": 4}',
         "utility_huge": b'{"model_states": 1' + b"0" * 400 + b', "values": [0, 0, 0, 1]}',
+        "utility_value_huge": b'{"model_states": 4, "values": [0, 0, 0, 1' + b"0" * 400 + b"]}",
         "states_5": json.dumps(dict(doc4, states=5)).encode(),  # 4 x 4 matrices
         "no_R": json.dumps(dict(doc4, transitions={"L": doc4["transitions"]["L"]})).encode(),
         "extra_key": json.dumps(dict(doc4, transitions=dict(doc4["transitions"], U=doc4["transitions"]["L"]))).encode(),
@@ -309,6 +311,8 @@ def test_bad_file_exits_2(argv, corridor_files, tmp_path, capsys):
         assert err.startswith(f"error: malformed {what} file: ")
     if "{map_huge}" in argv:  # an integer past the float range is named by its matrix
         assert err == "error: malformed map file: phi: an entry is past the float range\n"
+    if "{utility_value_huge}" in argv:
+        assert err == "error: malformed utility file: values: an entry is past the float range\n"
 
 
 def test_parser_built_once_per_process(corridor_files, capsys):

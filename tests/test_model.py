@@ -30,7 +30,6 @@ def test_alphabet_rejects_duplicates_and_empty():
 
 def test_alphabet_order_significant():
     assert Alphabet(("a", "b")) != Alphabet(("b", "a"))
-    assert Alphabet(("a", "b")).index("b") == 1
 
 
 def test_state_distribution_invariants():

@@ -3,13 +3,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ontomap.objective
 from conftest import permuted_copy, random_model
 from ontomap.corridor import CorridorSpec, build_corridor
 from ontomap.divergence import DEFAULT_POLICY
 from ontomap.model import Alphabet, FiniteStateModel
-from ontomap.objective import OntologyMap, PairObjective
+from ontomap.objective import OntologyMap, PairObjective, evaluate
 from ontomap.oracle import MAX_FREE_PARAMETERS, MAX_GRID_POINTS, _grid, _grid_columns, _grid_steps
 from ontomap.oracle import free_parameters, grid_step_variation, oracle_search
 
@@ -104,6 +106,53 @@ def test_step_variation_rejects_mismatched_alphabets():
     identity = OntologyMap(phi=[[1.0]], phi_inv=[[1.0]])
     with pytest.raises(ValueError):
         grid_step_variation(m, other, identity, resolution=0.5)
+
+
+def _column_near_grid(rng, dim, resolution):
+    """A probability column whose entries, but for its last, lie exactly at,
+    one ulp above or below, half or one and a half times the resolution, or
+    at 0; the last takes the rest of the mass."""
+    r = resolution
+    choices = [0.0, r, np.nextafter(r, 0.0), np.nextafter(r, 1.0), r / 2, 1.5 * r]
+    col = rng.choice(choices, size=dim)
+    while col[:-1].sum() > 1.0:
+        col[np.argmax(col[:-1])] = 0.0
+    col[-1] = 1.0 - col[:-1].sum()
+    return col
+
+
+def _one_step_variation(o0, o1, mapping, resolution):
+    """grid_step_variation written out: every move of ``resolution`` of mass
+    from an entry that holds it to another entry of its column."""
+    base = evaluate(o0, o1, mapping).total
+    worst = 0.0
+    for side in (0, 1):
+        mat = (mapping.phi, mapping.phi_inv)[side]
+        for j, a, b in product(range(mat.shape[1]), range(len(mat)), range(len(mat))):
+            if a != b and mat[a, j] >= resolution:
+                moved = [mapping.phi.copy(), mapping.phi_inv.copy()]
+                moved[side][a, j] -= resolution
+                moved[side][b, j] += resolution
+                worst = max(worst, abs(evaluate(o0, o1, OntologyMap(*moved)).total - base))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n0=st.integers(1, 4),
+    n1=st.integers(1, 4),
+    resolution=st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1, 0.05]),
+)
+def test_step_variation_is_largest_one_step_change(seed, n0, n1, resolution):
+    rng = np.random.default_rng(seed)
+    motor, sensor = Alphabet(("a", "b")), Alphabet(("s", "t", "u"))
+    o0, o1 = random_model(rng, n0, motor, sensor), random_model(rng, n1, motor, sensor)
+    phi = np.column_stack([_column_near_grid(rng, n0, resolution) for _ in range(n1)])
+    phi_inv = np.column_stack([_column_near_grid(rng, n1, resolution) for _ in range(n0)])
+    mapping = OntologyMap(phi=phi, phi_inv=phi_inv)
+    expected = _one_step_variation(o0, o1, mapping, resolution)
+    assert grid_step_variation(o0, o1, mapping, resolution).hex() == expected.hex()
 
 
 def test_free_parameter_count():

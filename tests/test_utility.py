@@ -81,8 +81,10 @@ def test_read_utility_length_mismatch():
     ],
 )
 def test_read_utility_rejects_malformed(data):
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError) as e:
         read_utility(data)
+    if b"0" * 400 in data:  # an integer past the float range is named by its field
+        assert str(e.value) == "malformed utility file: values: an entry is past the float range"
 
 
 def test_read_utility_names_a_flat_list():
